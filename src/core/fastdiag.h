@@ -27,8 +27,7 @@
 //   const auto batch = core::DiagnosisEngine({.workers = 8}).run_sweep(sweep);
 //   std::cout << batch.value().summary();
 //
-// Custom schemes plug into core::SchemeRegistry::global() by name; see
-// README.md for the v1 -> v2 migration guide.
+// Custom schemes plug into core::SchemeRegistry::global() by name.
 //
 // Reproduction of: B. Wang, Y. Wu, A. Ivanov, "A Fast Diagnosis Scheme for
 // Distributed Small Embedded SRAMs", DATE 2005.
@@ -45,7 +44,6 @@
 #include "core/expected.h"         // IWYU pragma: export
 #include "core/registry.h"         // IWYU pragma: export
 #include "core/report.h"           // IWYU pragma: export
-#include "core/session.h"          // IWYU pragma: export
 #include "core/spec.h"             // IWYU pragma: export
 #include "diagnosis/classifier.h"  // IWYU pragma: export
 #include "diagnosis/resolution.h"  // IWYU pragma: export

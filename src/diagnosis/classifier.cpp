@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "bisd/soc.h"
-#include "faults/composite_probe.h"
 #include "faults/fault_kind.h"
 #include "faults/fault_set.h"
 #include "march/runner.h"
@@ -20,6 +19,16 @@ namespace {
 using faults::FaultInstance;
 using faults::FaultKind;
 using sram::CellCoord;
+
+/// Partial (non-exact) hypotheses below this Jaccard score are dropped.
+constexpr double kMinConfidence = 0.5;
+
+/// Address span of the probe memories of memories swept without
+/// wrap-around (clamped to the real word count): enough for a first,
+/// middle and last victim row.  Bounds the instance_sliced packing plan
+/// too — packed candidates live inside the same geometry, so dictionaries
+/// are identical across build modes by construction.
+constexpr std::uint32_t kProbeWords = 4;
 
 /// Cell-local fault kinds the dictionary probes directly.
 constexpr FaultKind kCellKinds[] = {
@@ -150,7 +159,6 @@ std::string_view aggressor_placement_name(AggressorPlacement p) {
 std::string_view dictionary_build_mode_name(DictionaryBuildMode mode) {
   switch (mode) {
     case DictionaryBuildMode::per_candidate: return "per_candidate";
-    case DictionaryBuildMode::bit_sliced: return "bit_sliced";
     case DictionaryBuildMode::instance_sliced: return "instance_sliced";
   }
   return "?";
@@ -271,16 +279,14 @@ FaultClassifier::FaultClassifier(sram::SramConfig config,
   config_.validate();
   require(test_.width() >= config_.bits,
           "FaultClassifier: test narrower than the memory");
-  require(options_.probe_words >= 3,
-          "FaultClassifier: probe_words must be >= 3");
 }
 
 std::map<CellCoord, std::vector<ReadKey>> FaultClassifier::probe_signature(
-    const FaultInstance& fault, std::uint32_t probe_words,
+    const FaultInstance& fault, std::uint32_t words,
     std::uint32_t sweep) const {
   auto probe_config = config_;
   probe_config.name = "probe";
-  probe_config.words = probe_words;
+  probe_config.words = words;
   probe_config.spare_rows = 0;
   probe_config.spare_cols = 0;
   sram::Sram memory(probe_config,
@@ -339,7 +345,7 @@ FaultClassifier::ProbeGeometry FaultClassifier::probe_geometry() const {
   geometry.wrap = wrapped();
   geometry.words = geometry.wrap
                        ? config_.words
-                       : std::min(options_.probe_words, config_.words);
+                       : std::min(kProbeWords, config_.words);
   geometry.sweep = geometry.wrap ? options_.global_words : geometry.words;
   geometry.remainder = geometry.wrap ? geometry.sweep % geometry.words : 0;
   return geometry;
@@ -450,13 +456,8 @@ FaultClassifier::cell_dictionary(CellCoord cell) const {
       return cached->second;
     }
   }
-  switch (options_.build_mode) {
-    case DictionaryBuildMode::bit_sliced:
-      return build_cell_bit_sliced(key, cell.row, geometry);
-    case DictionaryBuildMode::instance_sliced:
-      return build_cell_instance_sliced(key, cell.row, geometry);
-    case DictionaryBuildMode::per_candidate:
-      break;
+  if (options_.build_mode == DictionaryBuildMode::instance_sliced) {
+    return build_cell_sliced(key, cell.row, geometry);
   }
   return build_cell_per_candidate(key, victim_row, geometry);
 }
@@ -494,24 +495,9 @@ FaultClassifier::build_cell_per_candidate(const CellKey& key,
 }
 
 const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::build_cell_bit_sliced(const CellKey& key,
-                                       std::uint32_t observed_row,
-                                       const ProbeGeometry& geometry) const {
-  return build_cell_sliced(key, observed_row, geometry, false);
-}
-
-const std::vector<FaultClassifier::CellSignature>&
-FaultClassifier::build_cell_instance_sliced(
-    const CellKey& key, std::uint32_t observed_row,
-    const ProbeGeometry& geometry) const {
-  return build_cell_sliced(key, observed_row, geometry, true);
-}
-
-const std::vector<FaultClassifier::CellSignature>&
 FaultClassifier::build_cell_sliced(const CellKey& key,
                                    std::uint32_t observed_row,
-                                   const ProbeGeometry& geometry,
-                                   bool instance_sliced) const {
+                                   const ProbeGeometry& geometry) const {
   // One batch fills every key of this probe geometry, so serialize batch
   // builds instead of letting racing threads duplicate the whole pack.
   const std::lock_guard<std::mutex> build_lock(build_mutex_);
@@ -659,34 +645,31 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   }
 
   // ---- replay the plan ----------------------------------------------------
-  // bit_sliced: one March replay per round.  instance_sliced: every round
-  // becomes one lane of a SlicedProbeBatch and the whole plan replays 64
-  // rounds per batch — same rounds, same demux, so the dictionaries are
-  // byte-identical across all three modes by construction.
+  // Every round becomes one lane of a SlicedProbeBatch and the whole plan
+  // replays 64 rounds per batch — same rounds and demux a one-round-at-a-
+  // time replay would use, so the dictionaries are byte-identical to
+  // per_candidate by construction.
   auto probe_config = config_;
   probe_config.name = "probe";
   probe_config.words = geometry.words;
   probe_config.spare_rows = 0;
   probe_config.spare_cols = 0;
-  const march::MarchRunner runner(options_.clock);
-  std::size_t replays = 0;
-  std::size_t slab_batches = 0;
-  std::size_t slab_lanes = 0;
-  if (instance_sliced && !rounds.empty()) {
-    std::vector<std::vector<faults::FaultInstance>> lanes;
-    std::vector<const std::vector<PackedRef>*> lane_refs;
-    lanes.reserve(rounds.size());
-    lane_refs.reserve(rounds.size());
-    for (const auto& [id, packed] : rounds) {
-      auto& lane = lanes.emplace_back();
-      lane.reserve(packed.size());
-      for (const auto& ref : packed) {
-        lane.push_back(specs[ref.target][ref.slot].fault);
-      }
-      lane_refs.push_back(&packed);
+  std::vector<std::vector<faults::FaultInstance>> lanes;
+  std::vector<const std::vector<PackedRef>*> lane_refs;
+  lanes.reserve(rounds.size());
+  lane_refs.reserve(rounds.size());
+  for (const auto& [id, packed] : rounds) {
+    auto& lane = lanes.emplace_back();
+    lane.reserve(packed.size());
+    for (const auto& ref : packed) {
+      lane.push_back(specs[ref.target][ref.slot].fault);
     }
-    const auto results =
-        runner.run_group_per_cell(probe_config, lanes, test_, geometry.sweep);
+    lane_refs.push_back(&packed);
+  }
+  if (!lanes.empty()) {
+    const auto results = march::MarchRunner(options_.clock)
+                             .run_group_per_cell(probe_config, lanes, test_,
+                                                 geometry.sweep);
     for (std::size_t k = 0; k < lanes.size(); ++k) {
       const auto& by_cell = results[k];
       for (const auto& ref : *lane_refs[k]) {
@@ -696,24 +679,6 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
         }
       }
     }
-    slab_lanes = lanes.size();
-    slab_batches = (lanes.size() + 63) / 64;
-  } else {
-    for (const auto& [id, packed] : rounds) {
-      auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-      for (const auto& ref : packed) {
-        behavior->add_candidate(specs[ref.target][ref.slot].fault);
-      }
-      sram::Sram memory(probe_config, std::move(behavior));
-      const auto by_cell = runner.run_per_cell(memory, test_, geometry.sweep);
-      for (const auto& ref : packed) {
-        const auto it = by_cell.find(specs[ref.target][ref.slot].fault.victim);
-        if (it != by_cell.end()) {
-          dictionaries[ref.target][ref.slot].reads = to_read_keys(it->second);
-        }
-      }
-    }
-    replays = rounds.size();
   }
   const double elapsed = seconds_since(start);
 
@@ -722,9 +687,8 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
     cell_cache_.emplace(targets[t].key, std::move(dictionaries[t]));
   }
   stats_.dictionary_keys += targets.size();
-  stats_.probe_replays += replays;
-  stats_.slab_batches += slab_batches;
-  stats_.slab_lanes += slab_lanes;
+  stats_.slab_batches += (lanes.size() + 63) / 64;
+  stats_.slab_lanes += lanes.size();
   stats_.build_seconds += elapsed;
   const auto built = cell_cache_.find(key);
   ensure(built != cell_cache_.end(),
@@ -882,7 +846,7 @@ SiteClassification FaultClassifier::classify_cell(
         continue;
       }
       const double score = jaccard(signature.reads, syndrome.failed_reads);
-      if (score < options_.min_confidence) {
+      if (score < kMinConfidence) {
         continue;
       }
       auto& slot = best[{signature.kind, signature.placement}];
@@ -937,7 +901,7 @@ std::optional<SiteClassification> FaultClassifier::classify_row(
     const double score = signature.reads == observed
                              ? 1.0
                              : jaccard(signature.reads, observed);
-    if (score < options_.min_confidence) {
+    if (score < kMinConfidence) {
       continue;
     }
     auto existing = std::find_if(
@@ -1007,11 +971,9 @@ MemoryClassification FaultClassifier::classify(
 ClassifierCache::Key ClassifierCache::make_key(
     const sram::SramConfig& config, const march::MarchTest& test,
     const ClassifierOptions& options) {
-  return Key{test.to_string(),      config.words,
-             config.bits,           config.retention_ns,
-             options.clock.period_ns, options.global_words,
-             options.probe_words,   options.min_confidence,
-             static_cast<int>(options.build_mode)};
+  return Key{test.to_string(),     config.words,
+             config.bits,          config.retention_ns,
+             options.clock.period_ns, options.global_words};
 }
 
 void ClassifierCache::enforce_bound_locked() {

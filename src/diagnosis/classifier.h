@@ -100,25 +100,18 @@ struct MemoryClassification {
 /// How FaultClassifier constructs its signature dictionaries.
 enum class DictionaryBuildMode {
   /// One probe replay per candidate fault — the straightforward reference
-  /// path (and the differential baseline for bit_sliced).
+  /// path and the identity oracle for instance_sliced.
   per_candidate,
 
   /// Packs independent candidates into shared probe memories — one
   /// candidate per victim cell, couplings co-located with their aggressor,
   /// stuck-open candidates alone in their column (the sense-latch rule) —
-  /// and replays the March test once per packed batch, demultiplexing every
-  /// candidate's signature from the single mismatch stream.  Collapses the
-  /// O(kinds x rows x bits) replays of per_candidate into
-  /// O(kinds + placements) and produces byte-identical dictionaries.
-  bit_sliced,
-
-  /// Composes the bit_sliced packing with instance slicing: the packed
-  /// probe memories of one build plan are grouped into
-  /// faults::SlicedProbeBatch lanes (up to 64 per slab) and each batch is
-  /// replayed once through MarchRunner::run_group_per_cell — one masked
-  /// word op per cell-column advances the whole group, and mismatching
-  /// reads demux straight to (lane, candidate, victim) coordinates.  Same
-  /// enumeration, same demux, byte-identical dictionaries again.
+  /// then groups the packed probes of one build plan into
+  /// faults::SlicedProbeBatch lanes (up to 64 per slab) and replays each
+  /// batch once through MarchRunner::run_group_per_cell: one masked word op
+  /// per cell-column advances the whole group, and mismatching reads demux
+  /// straight to (lane, candidate, victim) coordinates.  Same enumeration
+  /// as per_candidate, byte-identical dictionaries.
   instance_sliced,
 };
 
@@ -146,33 +139,24 @@ struct CacheStats {
 };
 
 struct ClassifierOptions {
-  /// Partial (non-exact) hypotheses below this Jaccard score are dropped.
-  double min_confidence = 0.5;
-
   /// Clock the probe simulations run at — must match the clock of the run
   /// that produced the syndromes, or retention-scale DRF signatures drift
   /// off the observed timebase.
   sram::ClockDomain clock{};
 
-  /// Address span of the probe memories (clamped to the real word count).
-  /// Only used when the memory is swept without wrap-around; wrapped
-  /// memories are probed at their exact geometry.  Note the shrunken probe
-  /// also shrinks sweep elapsed time: retention thresholds within the same
-  /// order of magnitude as one sweep (instead of the pause-dominated
-  /// regime the NWRC elements create) can decay in the real run but not in
-  /// the probe.  Also bounds the bit_sliced packing plan: packed candidates
-  /// live inside the same probe_words x bits geometry, so dictionaries are
-  /// identical across build modes by construction.
-  std::uint32_t probe_words = 4;
-
   /// The shared controller's sweep span (the SoC's n_max, Sec. 3.1).
-  /// 0 means the memory's own word count (no wrap-around).
+  /// 0 means the memory's own word count (no wrap-around).  Without
+  /// wrap-around the probe memories shrink to a few words; note the shrunken
+  /// probe also shrinks sweep elapsed time, so retention thresholds within
+  /// the same order of magnitude as one sweep (instead of the
+  /// pause-dominated regime the NWRC elements create) can decay in the real
+  /// run but not in the probe.  Wrapped memories are probed at their exact
+  /// geometry.
   std::uint32_t global_words = 0;
 
-  /// Dictionary construction strategy; all modes yield byte-identical
-  /// dictionaries (a differential test pins that down), the sliced modes
-  /// are just much faster to warm: bit_sliced packs candidates per probe,
-  /// instance_sliced additionally replays 64 packed probes per word op.
+  /// Dictionary construction strategy; both modes yield byte-identical
+  /// dictionaries (a differential test pins that down), instance_sliced is
+  /// just much faster to warm.
   DictionaryBuildMode build_mode = DictionaryBuildMode::instance_sliced;
 };
 
@@ -192,12 +176,12 @@ class FaultClassifier {
       const MemorySyndrome& syndrome) const;
 
   /// The signature a single @p fault would leave on a probe memory of
-  /// @p probe_words addresses swept over @p sweep controller steps: the
+  /// @p words addresses swept over @p sweep controller steps: the
   /// failed read set of each failing cell, keyed by cell.  Exposed for
   /// tests and tooling; fault coordinates refer to the probe geometry.
   [[nodiscard]] std::map<sram::CellCoord, std::vector<ReadKey>>
   probe_signature(const faults::FaultInstance& fault,
-                  std::uint32_t probe_words, std::uint32_t sweep) const;
+                  std::uint32_t words, std::uint32_t sweep) const;
 
   [[nodiscard]] const sram::SramConfig& config() const { return config_; }
   [[nodiscard]] const march::MarchTest& test() const { return test_; }
@@ -295,24 +279,15 @@ class FaultClassifier {
   [[nodiscard]] const std::vector<CellSignature>& build_cell_per_candidate(
       const CellKey& key, std::uint32_t victim_row,
       const ProbeGeometry& geometry) const;
-  /// bit_sliced build: packs the candidates of every key sharing @p key's
-  /// probe geometry (all bits x positions without wrap; all bits of the
-  /// requested row under wrap) into composite probes and replays each
-  /// packed batch once.  Fills every missing key, returns @p key's slot.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_bit_sliced(
-      const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry) const;
-  /// instance_sliced build: the bit_sliced plan's packed probes become
-  /// lanes of SlicedProbeBatch slabs, replayed 64 per batch through
-  /// MarchRunner::run_group_per_cell.  Fills the same keys, same slots.
-  [[nodiscard]] const std::vector<CellSignature>& build_cell_instance_sliced(
-      const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry) const;
-  /// Shared body of the two sliced builds: identical batch domain, packing
-  /// plan and demux; @p instance_sliced switches only the replay engine.
+  /// instance_sliced build: packs the candidates of every key sharing
+  /// @p key's probe geometry (all bits x positions without wrap; all bits of
+  /// the requested row under wrap) into composite probes, which become lanes
+  /// of SlicedProbeBatch slabs replayed 64 per batch through
+  /// MarchRunner::run_group_per_cell.  Fills every missing key, returns
+  /// @p key's slot.
   [[nodiscard]] const std::vector<CellSignature>& build_cell_sliced(
       const CellKey& key, std::uint32_t observed_row,
-      const ProbeGeometry& geometry, bool instance_sliced) const;
+      const ProbeGeometry& geometry) const;
   [[nodiscard]] const std::vector<RowSignature>& row_dictionary(
       std::uint32_t row) const;
 
@@ -330,7 +305,7 @@ class FaultClassifier {
   /// stability keeps returned references valid across later insertions.
   mutable std::mutex cache_mutex_;
 
-  /// Serializes bit_sliced batch builds: one batch fills many keys at once,
+  /// Serializes sliced batch builds: one batch fills many keys at once,
   /// so letting two threads race the same batch would duplicate the whole
   /// packed build instead of one key's worth of probes.
   mutable std::mutex build_mutex_;
@@ -348,7 +323,10 @@ class FaultClassifier {
 /// keyed by every input a signature depends on: the March test plus the
 /// config's words, bits and retention_ns (same-geometry memories with
 /// different retention thresholds decay differently under NWRC, so they
-/// must not share a dictionary) and the sweep/probe options.  Thread-safe.
+/// must not share a dictionary), the probe clock and the sweep span.  The
+/// build mode is not part of the key: a per_candidate request may be served
+/// an instance_sliced classifier, whose dictionaries are identical.
+/// Thread-safe.
 ///
 /// Residency is optionally bounded: a max_entries cap evicts the least-
 /// recently-used classifier on overflow (a resident service sweeping many
@@ -389,9 +367,11 @@ class ClassifierCache {
   [[nodiscard]] CacheStats stats() const;
 
  private:
+  /// What decides dictionary content: test, words, bits, retention_ns,
+  /// clock period and global_words.  The build mode is deliberately absent —
+  /// both modes build byte-identical dictionaries.
   using Key = std::tuple<std::string, std::uint32_t, std::uint32_t,
-                         std::uint64_t, std::uint64_t, std::uint32_t,
-                         std::uint32_t, double, int>;
+                         std::uint64_t, std::uint64_t, std::uint32_t>;
 
   struct Slot {
     std::shared_ptr<FaultClassifier> classifier;

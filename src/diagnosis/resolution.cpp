@@ -7,13 +7,6 @@ namespace fastdiag::diagnosis {
 ResolutionFlow::ResolutionFlow(ResolutionOptions options)
     : options_(options) {}
 
-march::MarchTest ResolutionFlow::test_for_width(std::uint32_t c_max) const {
-  bisd::FastSchemeOptions scheme_options;
-  scheme_options.clock = options_.clock;
-  scheme_options.include_drf = options_.include_drf;
-  return bisd::FastScheme(scheme_options).test_for_width(c_max);
-}
-
 ResolutionReport ResolutionFlow::run(bisd::SocUnderTest& soc) const {
   bisd::FastSchemeOptions scheme_options;
   scheme_options.clock = options_.clock;

@@ -78,9 +78,6 @@ class ResolutionFlow {
   /// spares consumed).
   [[nodiscard]] ResolutionReport run(bisd::SocUnderTest& soc) const;
 
-  /// The March test classification keys on for a SoC of width @p c_max.
-  [[nodiscard]] march::MarchTest test_for_width(std::uint32_t c_max) const;
-
   /// Counters of the flow's classifier cache (dictionary builds, hit/miss
   /// across run() calls) — observability for production loops.
   [[nodiscard]] CacheStats cache_stats() const {

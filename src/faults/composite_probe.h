@@ -6,7 +6,10 @@
 // interact — every fault model in src/faults is keyed on its own victim (and,
 // for couplings, its own aggressor) cell — so one probe memory can carry one
 // candidate per victim cell and a single replay yields every signature at
-// once (demultiplexed per victim by MarchRunner::run_per_cell).
+// once (demultiplexed per victim by MarchRunner::run_per_cell).  The
+// classifier's instance_sliced build replays such packed probes 64 at a time
+// through SlicedProbeBatch (below); this one-memory-at-a-time form is the
+// reference that batched replay is tested against.
 //
 // Isolation is structural, not assumed: each candidate owns a private
 // FaultSet holding exactly its one fault, and every access to a cell is

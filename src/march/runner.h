@@ -11,9 +11,9 @@
 // Four entry points share one element-loop driver (drive_march in the
 // implementation): run() materializes the full Mismatch stream
 // (expected/actual word copies included), run_per_cell() folds the stream
-// straight into per-cell failed-read sets — the multi-victim replay the
-// bit-sliced dictionary builder demultiplexes packed candidate faults from —
-// run_group() advances sliceable fleets as InstanceSlab lanes, and
+// straight into per-cell failed-read sets — the per_candidate dictionary
+// build's probe replay, and the one-memory-at-a-time reference the batched
+// replay is checked against — run_group() advances sliceable fleets as InstanceSlab lanes, and
 // run_group_per_cell() batches up to 64 packed probe memories per slab for
 // the instance-sliced dictionary build.  The clients differ only in delivery
 // (port vs broadcast) and demux (word mismatch vs lane mask vs lane/cell).

@@ -41,7 +41,7 @@ struct SweepCheckpoint {
 /// the fingerprint guards against resuming into reshaped axes.
 [[nodiscard]] std::uint64_t sweep_fingerprint(const core::SweepSpec& sweep);
 
-/// "FDCK" v1 blob.
+/// "FDCK" blob.
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(
     const SweepCheckpoint& checkpoint);
 [[nodiscard]] core::Expected<SweepCheckpoint, DecodeError> decode_checkpoint(

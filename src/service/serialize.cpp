@@ -1,6 +1,7 @@
 #include "service/serialize.h"
 
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
 #include "faults/fault_kind.h"
@@ -225,24 +226,20 @@ bool decode_sram_config(ByteReader& reader, sram::SramConfig& config) {
 
 namespace {
 
+// Only the options that decide dictionary content travel; an imported
+// classifier builds any missing slot in the default instance_sliced mode,
+// whose dictionaries equal every other mode's.
 void encode_classifier_options(ByteWriter& writer,
                                const diagnosis::ClassifierOptions& options) {
-  writer.f64(options.min_confidence);
   writer.u64(options.clock.period_ns);
-  writer.u32(options.probe_words);
   writer.u32(options.global_words);
-  writer.u8(static_cast<std::uint8_t>(options.build_mode));
 }
 
 bool decode_classifier_options(ByteReader& reader,
                                diagnosis::ClassifierOptions& options) {
-  options.min_confidence = reader.f64();
   options.clock.period_ns = reader.u64();
-  options.probe_words = reader.u32();
   options.global_words = reader.u32();
-  return read_enum(reader, options.build_mode,
-                   static_cast<std::uint8_t>(
-                       diagnosis::DictionaryBuildMode::instance_sliced));
+  return reader.ok();
 }
 
 void encode_dictionaries(
@@ -776,15 +773,26 @@ core::Expected<std::size_t, DecodeError> decode_classifier_cache(
     march::MarchTest test;
     diagnosis::ClassifierOptions options;
     diagnosis::FaultClassifier::DictionarySnapshot snapshot;
+    const auto corrupt = [i] {
+      return make_unexpected(
+          DecodeError{"cache: corrupt entry " + std::to_string(i)});
+    };
     if (!decode_sram_config(reader, config) ||
         !decode_march_test(reader, test) ||
         !decode_classifier_options(reader, options) ||
         !decode_dictionaries(reader, snapshot)) {
-      return make_unexpected(
-          DecodeError{"cache: corrupt entry " + std::to_string(i)});
+      return corrupt();
     }
-    auto classifier = std::make_shared<diagnosis::FaultClassifier>(
-        config, test, options);
+    // Well-formed bytes can still describe inputs the classifier refuses
+    // (say, a memory wider than its test); its constructor is the one
+    // authority on those, so its refusal is this entry's decode error.
+    std::shared_ptr<diagnosis::FaultClassifier> classifier;
+    try {
+      classifier = std::make_shared<diagnosis::FaultClassifier>(
+          std::move(config), std::move(test), options);
+    } catch (const std::invalid_argument&) {
+      return corrupt();
+    }
     classifier->import_dictionaries(std::move(snapshot));
     classifiers.push_back(std::move(classifier));
   }

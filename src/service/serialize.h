@@ -176,11 +176,12 @@ class ByteReader {
 inline constexpr std::uint32_t kReportMagic = 0x50524446;      // "FDRP"
 inline constexpr std::uint32_t kCacheMagic = 0x43434446;       // "FDCC"
 inline constexpr std::uint32_t kCheckpointMagic = 0x4B434446;  // "FDCK"
-/// Version 2: reports gained an optional soft-error outcome section and
-/// folded aggregates the two soft-error metric folds (PR 9).  Readers
+/// Version 3: the classifier-cache options record shrank to clock period
+/// and global_words.  (Version 2 gave reports an optional soft-error outcome
+/// section and folded aggregates the two soft-error metric folds.)  Readers
 /// reject other versions outright — blobs are cache/transport artifacts
 /// regenerated per build, not long-lived archives.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 // ---- embedded encoders (no magic; exposed for composition and tests) -------
 
@@ -204,22 +205,24 @@ void encode_sram_config(ByteWriter& writer, const sram::SramConfig& config);
 
 // ---- top-level blobs -------------------------------------------------------
 
-/// "FDRP" v1: one per-run Report, classification included when present.
+/// "FDRP": one per-run Report, classification included when present.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const core::Report& report);
 [[nodiscard]] core::Expected<core::Report, DecodeError> decode_report(
     const std::uint8_t* data, std::size_t size);
 
-/// "FDCC" v1: every resident classifier of @p cache — its construction
-/// inputs (config, test, options) plus the signature dictionaries built so
-/// far.  Importing into a fresh cache reconstructs classifiers that serve
+/// "FDCC": every resident classifier of @p cache — its construction
+/// inputs (config, test, clock period, global_words) plus the signature
+/// dictionaries built so far.  Importing into a fresh cache reconstructs classifiers that serve
 /// the same jobs with zero probe replays.
 [[nodiscard]] std::vector<std::uint8_t> encode_classifier_cache(
     const diagnosis::ClassifierCache& cache);
 
 /// Decodes a "FDCC" blob into @p cache (entries insert() one by one,
 /// honouring the cache's eviction bound).  Returns the classifier count on
-/// success.
+/// success.  An entry the FaultClassifier constructor would refuse is a
+/// "cache: corrupt entry" error, never an exception; on any error @p cache
+/// is left untouched.
 [[nodiscard]] core::Expected<std::size_t, DecodeError>
 decode_classifier_cache(const std::uint8_t* data, std::size_t size,
                         diagnosis::ClassifierCache& cache);

@@ -476,10 +476,10 @@ TEST(Engine, ClassificationIsDeterministicAcrossWorkerCounts) {
   }
 }
 
-// ---- bit-sliced dictionary builds -----------------------------------------
+// ---- sliced dictionary builds ---------------------------------------------
 //
-// The packed builder must be a pure performance transformation: for every
-// syndrome, classification through a bit_sliced dictionary must equal the
+// The instance_sliced builder must be a pure performance transformation:
+// for every syndrome, classification through its dictionary must equal the
 // per_candidate reference byte for byte (the per-site to_string dump covers
 // kinds, confidences, placements and aggressor candidate bits).
 
@@ -550,7 +550,7 @@ std::vector<FaultInstance> build_kind_corpus(const SramConfig& config,
   return corpus;
 }
 
-TEST(BitSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
+TEST(InstanceSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
   // Even and odd IO widths: the odd width exercises the packing plan's
   // round-robin bye column.
   for (const auto& config : {cfg(12, 6), cfg(9, 5)}) {
@@ -560,7 +560,8 @@ TEST(BitSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
     reference_options.build_mode =
         diagnosis::DictionaryBuildMode::per_candidate;
     diagnosis::ClassifierOptions sliced_options;
-    sliced_options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
+    sliced_options.build_mode =
+        diagnosis::DictionaryBuildMode::instance_sliced;
     const FaultClassifier reference(config, test, reference_options);
     const FaultClassifier sliced(config, test, sliced_options);
 
@@ -577,7 +578,7 @@ TEST(BitSliced, VerdictsIdenticalToPerCandidateAcrossKindCorpus) {
   }
 }
 
-TEST(BitSliced, VerdictsIdenticalUnderWrapAround) {
+TEST(InstanceSliced, VerdictsIdenticalUnderWrapAround) {
   // A 6-word memory swept by a 16-step controller wraps with remainder 4,
   // so dictionaries key on exact rows and the partial-wrap boundary gets
   // its own aggressor representatives — the wrap-side packing plan.
@@ -590,7 +591,7 @@ TEST(BitSliced, VerdictsIdenticalUnderWrapAround) {
       diagnosis::DictionaryBuildMode::per_candidate;
   reference_options.global_words = wide.words;
   diagnosis::ClassifierOptions sliced_options;
-  sliced_options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
+  sliced_options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
   sliced_options.global_words = wide.words;
   const FaultClassifier reference(narrow, test, reference_options);
   const FaultClassifier sliced(narrow, test, sliced_options);
@@ -608,7 +609,7 @@ TEST(BitSliced, VerdictsIdenticalUnderWrapAround) {
   }
 }
 
-TEST(BitSliced, CacheStatsCountBuildsAndSharing) {
+TEST(InstanceSliced, CacheStatsCountBuildsAndSharing) {
   const auto config = cfg(12, 6);
   bisd::FastScheme scheme;
   const auto test = scheme.test_for_width(config.bits);
@@ -641,21 +642,30 @@ TEST(BitSliced, CacheStatsCountBuildsAndSharing) {
   EXPECT_EQ(cache.stats().probe_replays, replays);
   EXPECT_EQ(cache.stats().slab_lanes, lanes);
 
-  // Build modes must not share classifiers (different dictionaries paths).
+  // The build mode is not part of the cache key: both modes build the same
+  // dictionaries, so a per_candidate request shares the resident entry.
   diagnosis::ClassifierOptions reference_options = options;
   reference_options.build_mode =
       diagnosis::DictionaryBuildMode::per_candidate;
   const auto reference = cache.get(config, test, reference_options);
-  EXPECT_NE(first.get(), reference.get());
+  EXPECT_EQ(first.get(), reference.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // What does decide dictionary content keeps entries apart.
+  diagnosis::ClassifierOptions wrapped = options;
+  wrapped.global_words = 2 * config.words;
+  EXPECT_NE(first.get(), cache.get(config, test, wrapped).get());
+  diagnosis::ClassifierOptions slower = options;
+  slower.clock.period_ns = 2 * options.clock.period_ns;
+  EXPECT_NE(first.get(), cache.get(config, test, slower).get());
 }
 
 // ---- instance-sliced dictionary builds ------------------------------------
 //
-// The instance_sliced mode composes the bit_sliced packing with 64-lane
-// probe slabs; like bit_sliced it must be a pure performance transformation.
-// The snapshot comparisons below are the strongest possible form: the
-// exported dictionaries — every slot of every key — must compare equal
-// across all three build modes, at every SIMD dispatch level this CPU runs.
+// The snapshot comparisons below are the strongest possible form of the
+// identity contract: the exported dictionaries — every slot of every key —
+// must compare equal across both build modes, at every SIMD dispatch level
+// this CPU runs.
 
 std::vector<simd::IsaLevel> available_levels() {
   std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
@@ -681,7 +691,7 @@ class LevelGuard {
 };
 
 /// Classifies one fabricated single-cell syndrome per dictionary key so
-/// every mode's lazy cache fills completely: the sliced modes batch-fill
+/// every mode's lazy cache fills completely: instance_sliced batch-fills
 /// all keys on first touch, per_candidate needs each key requested.
 void warm_all_cell_keys(const FaultClassifier& classifier,
                         const SramConfig& config,
@@ -722,11 +732,6 @@ TEST(InstanceSliced, DictionariesByteIdenticalAcrossModesAndIsaLevels) {
     const auto want = reference.export_dictionaries();
     ASSERT_FALSE(want.cells.empty());
 
-    options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-    const FaultClassifier bit_sliced(config, test, options);
-    warm_all_cell_keys(bit_sliced, config);
-    EXPECT_TRUE(want == bit_sliced.export_dictionaries()) << config.name;
-
     LevelGuard guard;
     for (const auto level : available_levels()) {
       ASSERT_TRUE(simd::force(level));
@@ -756,40 +761,10 @@ TEST(InstanceSliced, DictionariesByteIdenticalUnderWrapAround) {
   const auto want = reference.export_dictionaries();
   ASSERT_FALSE(want.cells.empty());
 
-  options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-  const FaultClassifier bit_sliced(narrow, test, options);
-  warm_all_cell_keys(bit_sliced, narrow, sweep);
-  EXPECT_TRUE(want == bit_sliced.export_dictionaries());
-
   options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
   const FaultClassifier instance(narrow, test, options);
   warm_all_cell_keys(instance, narrow, sweep);
   EXPECT_TRUE(want == instance.export_dictionaries());
-}
-
-TEST(InstanceSliced, VerdictsIdenticalToBothModesAcrossKindCorpus) {
-  const auto config = cfg(12, 6);
-  bisd::FastScheme scheme;
-  const auto test = scheme.test_for_width(config.bits);
-  diagnosis::ClassifierOptions options;
-  options.build_mode = diagnosis::DictionaryBuildMode::per_candidate;
-  const FaultClassifier reference(config, test, options);
-  options.build_mode = diagnosis::DictionaryBuildMode::bit_sliced;
-  const FaultClassifier bit_sliced(config, test, options);
-  options.build_mode = diagnosis::DictionaryBuildMode::instance_sliced;
-  const FaultClassifier instance(config, test, options);
-
-  Rng rng(20260807);
-  for (const auto& fault : build_kind_corpus(config, rng, 3)) {
-    const auto expected =
-        classify_single_fault(reference, config, fault).to_string();
-    EXPECT_EQ(expected,
-              classify_single_fault(instance, config, fault).to_string())
-        << "fault: " << fault.to_string();
-    EXPECT_EQ(expected,
-              classify_single_fault(bit_sliced, config, fault).to_string())
-        << "fault: " << fault.to_string();
-  }
 }
 
 }  // namespace

@@ -607,7 +607,7 @@ TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
       lanes.push_back(probe_lane_candidates(i, probe_config));
     }
     // The reference: each lane's candidates in its own composite probe
-    // memory, replayed one at a time (the bit_sliced builder's engine).
+    // memory, replayed one at a time.
     std::vector<std::map<CellCoord, std::vector<march::ReadEvent>>> expected;
     for (const auto& lane : lanes) {
       auto behavior = std::make_unique<faults::CompositeProbeBehavior>();

@@ -73,6 +73,32 @@ std::string temp_path(const std::string& name) {
   return std::move(writer).take();
 }
 
+/// A hand-built one-entry "FDCC" blob with empty dictionaries, written
+/// field by field so the tests pin the record layout independently of
+/// encode_classifier_cache.
+[[gnu::noinline]] std::vector<std::uint8_t> one_entry_cache_blob(
+    const sram::SramConfig& config, const march::MarchTest& test,
+    std::uint32_t version = kFormatVersion) {
+  ByteWriter writer;
+  writer.u32(kCacheMagic);
+  writer.u32(version);
+  writer.u64(1);  // entries
+  encode_sram_config(writer, config);
+  encode_march_test(writer, test);
+  writer.u64(10);  // options: clock period_ns
+  writer.u32(0);   // options: global_words
+  writer.u64(0);   // cell dictionaries
+  writer.u64(0);   // row dictionaries
+  return std::move(writer).take();
+}
+
+/// A cache blob whose bytes are well formed but whose memory (16 bits) is
+/// wider than its March test (8 bits) — inputs FaultClassifier refuses.
+std::vector<std::uint8_t> wider_than_test_cache_blob() {
+  const auto test = bisd::FastScheme().test_for_width(8);
+  return one_entry_cache_blob(small("wide", 16, 16), test);
+}
+
 // ---- primitives -----------------------------------------------------------
 
 TEST(Bytes, PrimitivesRoundTripLittleEndian) {
@@ -295,6 +321,46 @@ TEST(CacheSerialize, CorruptCacheBlobLeavesTheTargetUntouched) {
       decode_classifier_cache(truncated.data(), truncated.size(), target)
           .has_value());
   EXPECT_EQ(target.size(), 0u);  // all-or-nothing import
+}
+
+TEST(CacheSerialize, OptionsRecordHoldsOnlyClockAndGlobalWords) {
+  // A hand-laid entry decodes, and the decoded cache re-encodes to the
+  // very same bytes: the options record is clock period + global_words.
+  const auto config = small("layout", 16, 8);
+  const auto blob =
+      one_entry_cache_blob(config, bisd::FastScheme().test_for_width(8));
+  diagnosis::ClassifierCache target;
+  const auto imported =
+      decode_classifier_cache(blob.data(), blob.size(), target);
+  ASSERT_TRUE(imported.has_value()) << imported.error().message;
+  EXPECT_EQ(imported.value(), 1u);
+  ASSERT_EQ(target.entries().size(), 1u);
+  EXPECT_EQ(target.entries()[0]->options().clock.period_ns, 10u);
+  EXPECT_EQ(target.entries()[0]->options().build_mode,
+            diagnosis::DictionaryBuildMode::instance_sliced);
+  EXPECT_EQ(encode_classifier_cache(target), blob);
+
+  // The same entry under the previous format version is refused outright.
+  const auto old_blob =
+      one_entry_cache_blob(config, bisd::FastScheme().test_for_width(8), 2);
+  diagnosis::ClassifierCache untouched;
+  const auto refused =
+      decode_classifier_cache(old_blob.data(), old_blob.size(), untouched);
+  ASSERT_FALSE(refused.has_value());
+  EXPECT_EQ(refused.error().message, "cache: unsupported version 2");
+  EXPECT_EQ(untouched.size(), 0u);
+}
+
+TEST(CacheSerialize, EntryTheClassifierRefusesIsADecodeErrorNotAThrow) {
+  const auto blob = wider_than_test_cache_blob();
+  diagnosis::ClassifierCache target;
+  EXPECT_NO_THROW({
+    const auto imported =
+        decode_classifier_cache(blob.data(), blob.size(), target);
+    ASSERT_FALSE(imported.has_value());
+    EXPECT_EQ(imported.error().message, "cache: corrupt entry 0");
+  });
+  EXPECT_EQ(target.size(), 0u);
 }
 
 // ---- checkpoint / resume --------------------------------------------------
@@ -541,6 +607,54 @@ TEST(JobServer, ClientCachePathsAreConfinedToTheCacheDir) {
   for (int fd : {to_server[0], to_server[1], from_server[0], from_server[1]}) {
     close(fd);
   }
+}
+
+TEST(JobServer, RefusedCacheEntryIsAnErrorReplyAndServingGoesOn) {
+  ServerOptions options;
+  options.cache_dir = ::testing::TempDir();
+  const std::string name =
+      "wider_than_test." + std::to_string(::getpid()) + ".fdcc";
+  const std::string path = options.cache_dir + "/" + name;
+  {
+    const auto blob = wider_than_test_cache_blob();
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(blob.data(), 1, blob.size(), file), blob.size());
+    std::fclose(file);
+  }
+
+  JobServer server(options);
+  int to_server[2];
+  int from_server[2];
+  ASSERT_EQ(pipe(to_server), 0);
+  ASSERT_EQ(pipe(from_server), 0);
+  std::thread worker(
+      [&] { server.serve_connection(to_server[0], from_server[1]); });
+  const int out = to_server[1];
+  const int in = from_server[0];
+
+  Frame response;
+  ASSERT_TRUE(write_frame(out, MessageType::load_cache, str_payload(name)));
+  ASSERT_TRUE(read_frame(in, response));
+  EXPECT_EQ(response.type, MessageType::error);
+  EXPECT_EQ(server.cache().size(), 0u);
+
+  // The same connection keeps serving: a job still runs end to end.
+  JobRequest request;
+  request.configs = {small("after", 32, 8)};
+  request.classify = true;
+  ASSERT_TRUE(write_frame(out, MessageType::submit_job,
+                          encode_job_request(request)));
+  ASSERT_TRUE(read_frame(in, response));
+  EXPECT_EQ(response.type, MessageType::job_report);
+
+  ASSERT_TRUE(write_frame(out, MessageType::shutdown, std::string()));
+  ASSERT_TRUE(read_frame(in, response));
+  worker.join();
+  for (int fd : {to_server[0], to_server[1], from_server[0], from_server[1]}) {
+    close(fd);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(JobServer, ClientCacheRequestsAreRefusedWithoutACacheDir) {
