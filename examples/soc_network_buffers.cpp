@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "core/fastdiag.h"
@@ -71,71 +72,65 @@ int main(int argc, char** argv) {
     std::printf("SoC: %zu distributed e-SRAM buffers, %.2f%% defective cells\n\n",
                 configs.size(), rate * 100.0);
 
-    // One batch, heterogeneous specs: the fast scheme with the repair
-    // flow, plus (with --compare-baseline) the baseline WITHOUT it — the
-    // iterative baseline already spends spare rows mid-diagnosis (its
+    // Heterogeneous specs: the fast scheme with the repair flow, plus
+    // (with --compare-baseline) the baseline WITHOUT it — the iterative
+    // baseline already spends spare rows mid-diagnosis (its
     // needs_repair_pass capability), so a second repair pass would
-    // double-allocate them.  The engine runs both concurrently.
+    // double-allocate them.
     const auto base = core::SessionSpec::builder()
                           .add_srams(configs)
                           .defect_rate(rate)
                           .seed(seed);
-    std::vector<core::SessionSpec> specs;
-    const auto add_spec = [&specs](core::SessionSpec::Builder builder) {
+    const auto execute = [](core::SessionSpec::Builder builder)
+        -> std::optional<core::Report> {
       auto spec = builder.build();
       if (!spec) {
         std::fprintf(stderr, "bad configuration — %s\n",
                      spec.error().to_string().c_str());
-        return false;
+        return std::nullopt;
       }
-      specs.push_back(std::move(spec).value());
-      return true;
+      return core::DiagnosisEngine::execute(spec.value());
     };
-    if (!add_spec(core::SessionSpec::Builder(base).with_repair(true))) {
-      return 1;
-    }
-    if (compare &&
-        !add_spec(core::SessionSpec::Builder(base).scheme(
-            "baseline-with-retention"))) {
-      return 1;
-    }
+
     // The fast run finishes in milliseconds while the baseline's retention
-    // pauses take minutes; stream the fast section through the engine's
-    // observer instead of sitting silent until the whole batch returns.
-    const auto print_fast = [&configs](const core::Report& fast) {
-      std::printf("--- proposed scheme ---\n%s\n", fast.summary().c_str());
-      TablePrinter per_memory({"buffer", "words", "bits", "injected",
-                               "diagnosed rows", "recall"});
-      per_memory.set_title("per-buffer diagnosis (fast scheme)");
-      for (std::size_t i = 0; i < configs.size(); ++i) {
-        per_memory.add_row({
-            configs[i].name,
-            std::to_string(configs[i].words),
-            std::to_string(configs[i].bits),
-            std::to_string(fast.matches[i].truth_faults),
-            std::to_string(fast.result.log.faulty_rows(i).size()),
-            fmt_percent(fast.matches[i].recall()),
-        });
-      }
-      per_memory.print(std::cout);
-      std::fflush(stdout);
-    };
-    const auto batch = core::DiagnosisEngine({.workers = 0}).run_batch(
-        specs, [&print_fast](std::size_t index, const core::Report& run) {
-          if (index == 0) {
-            print_fast(run);
-          }
-        });
-    const auto& fast = batch.runs.front();
+    // pauses take seconds; print the fast section before starting it.
+    const auto fast =
+        execute(core::SessionSpec::Builder(base).with_repair(true));
+    if (!fast) {
+      return 1;
+    }
+    std::printf("--- proposed scheme ---\n%s\n", fast->summary().c_str());
+    TablePrinter per_memory({"buffer", "words", "bits", "injected",
+                             "diagnosed rows", "recall"});
+    per_memory.set_title("per-buffer diagnosis (fast scheme)");
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      per_memory.add_row({
+          configs[i].name,
+          std::to_string(configs[i].words),
+          std::to_string(configs[i].bits),
+          std::to_string(fast->matches[i].truth_faults),
+          std::to_string(fast->result.log.faulty_rows(i).size()),
+          fmt_percent(fast->matches[i].recall()),
+      });
+    }
+    per_memory.print(std::cout);
+    std::fflush(stdout);
 
     if (compare) {
-      const auto& baseline = batch.runs.back();
+      const auto baseline = execute(
+          core::SessionSpec::Builder(base).scheme("baseline-with-retention"));
+      if (!baseline) {
+        return 1;
+      }
       std::printf("\n--- baseline [7,8] with retention pauses ---\n%s\n",
-                  baseline.summary().c_str());
-      const double r = static_cast<double>(baseline.total_ns) /
-                       static_cast<double>(fast.total_ns);
+                  baseline->summary().c_str());
+      const double r = static_cast<double>(baseline->total_ns) /
+                       static_cast<double>(fast->total_ns);
       std::printf("measured reduction factor R = %s\n",
                   fmt_ratio(r).c_str());
+      core::AggregateReport batch;
+      batch.add(*fast);
+      batch.add(*baseline);
       std::printf("\n--- batch aggregate ---\n%s",
                   batch.summary().c_str());
     }

@@ -31,59 +31,11 @@ std::size_t cached_hardware_concurrency() {
   return value;
 }
 
-/// Chain of engines currently dispatching into the running call stack.
-/// Lets run_batch tell a *re-entrant* call — an observer or scheme
-/// re-entering an engine already dispatching above it, which must fall
-/// back to the calling thread — from a *concurrent* call from another
-/// thread, which blocks until the engine frees and then runs parallel.
-///
-/// The chain is explicit (not just a thread-local slot) because dispatch
-/// hops threads: engine A's observer may call engine B, whose jobs run on
-/// B's pool threads — a re-entrant A call from there must still see A in
-/// its ancestry.  Jobs therefore splice their submitting thread's chain in
-/// (the parent guards live on the submitting stack, which blocks inside
-/// WorkerPool::run until every job retires, so cross-thread traversal is
-/// safe; the links are immutable and published through the pool's mutex).
-class TlsDispatchGuard {
- public:
-  /// Marks @p engine as dispatching, linked to this thread's own chain.
-  explicit TlsDispatchGuard(const void* engine)
-      : TlsDispatchGuard(engine, head_) {}
-
-  /// Marks @p engine as dispatching, linked to @p parent — the submitting
-  /// thread's chain captured at batch dispatch.
-  TlsDispatchGuard(const void* engine, const TlsDispatchGuard* parent)
-      : engine_(engine), previous_(parent), saved_head_(head_) {
-    head_ = this;
-  }
-  ~TlsDispatchGuard() { head_ = saved_head_; }
-  TlsDispatchGuard(const TlsDispatchGuard&) = delete;
-  TlsDispatchGuard& operator=(const TlsDispatchGuard&) = delete;
-
-  /// The chain to hand to jobs dispatched from this thread.
-  [[nodiscard]] static const TlsDispatchGuard* current_chain() {
-    return head_;
-  }
-
-  /// True when @p engine is dispatching anywhere up this call chain.
-  [[nodiscard]] static bool dispatching(const void* engine) {
-    for (const TlsDispatchGuard* guard = head_; guard != nullptr;
-         guard = guard->previous_) {
-      if (guard->engine_ == engine) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  const void* engine_;
-  const TlsDispatchGuard* previous_;    ///< chain link (may cross threads)
-  const TlsDispatchGuard* saved_head_;  ///< this thread's head to restore
-  static thread_local const TlsDispatchGuard* head_;
-};
-
-thread_local const TlsDispatchGuard* TlsDispatchGuard::head_ = nullptr;
+/// Set while an engine job runs on this thread.  A scheme that calls back
+/// into an engine from inside a job — the engine running it or another one
+/// — runs that call serially here: the engine it lands on may hold its
+/// dispatch lock for the very chunk this job belongs to.
+thread_local bool running_job = false;
 
 }  // namespace
 
@@ -117,16 +69,10 @@ class DiagnosisEngine::WorkerPool {
 
   [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
 
-  /// One batch dispatches at a time: a concurrent run_batch from another
-  /// thread blocks here until the pool frees, then runs parallel itself.
-  /// (Re-entrant calls never reach this — run_batch detects them through a
-  /// thread-local marker and falls back to the calling thread.)
-  void acquire() { dispatch_mutex_.lock(); }
-  void release() { dispatch_mutex_.unlock(); }
-
   /// Runs @p job(slot, index) for every index in [0, count), the calling
   /// thread participating as slot 0.  Blocks until all work is done and
   /// every pool thread has retired the generation.  @p job must not throw.
+  /// The engine's dispatch lock keeps run() calls from overlapping.
   void run(std::size_t count, const Job& job) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -187,7 +133,6 @@ class DiagnosisEngine::WorkerPool {
   std::condition_variable wake_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> threads_;
-  std::mutex dispatch_mutex_;
   std::atomic<std::size_t> next_{0};
   const Job* job_ = nullptr;
   std::size_t count_ = 0;
@@ -492,116 +437,62 @@ Report DiagnosisEngine::execute(const SessionSpec& spec,
   return report;
 }
 
-void DiagnosisEngine::run_serial(const std::vector<SessionSpec>& specs,
-                                 const RunObserver& observer,
-                                 AggregateReport& aggregate,
-                                 diagnosis::ClassifierCache& classifier_cache,
-                                 ExecutionScratch& scratch) const {
-  const SchemeRegistry& schemes = registry();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    aggregate.runs[i] = execute(specs[i], schemes, &classifier_cache,
-                                &scratch);
-    if (observer) {
-      observer(i, aggregate.runs[i]);
-    }
-  }
-}
-
-AggregateReport DiagnosisEngine::run_batch_impl(
-    const std::vector<SessionSpec>& specs, const RunObserver& observer,
+std::vector<Report> DiagnosisEngine::run_chunk(
+    const std::vector<SessionSpec>& specs,
     diagnosis::ClassifierCache& classifier_cache) const {
-  AggregateReport aggregate;
-  aggregate.runs.resize(specs.size());
-  if (specs.empty()) {
-    return aggregate;
-  }
-
-  // One batch dispatches on this engine at a time.  A re-entrant call (an
-  // observer or scheme re-entering run_batch from inside a running batch,
-  // detected through the thread-local marker) skips acquisition and runs
-  // on the calling thread; a concurrent call from another thread blocks
-  // until the engine frees, then dispatches normally.  Releases happen by
-  // RAII even when a run throws — a leaked busy engine would silently
-  // demote every later batch to serial.
-  const bool reentrant = TlsDispatchGuard::dispatching(this);
-  struct DispatchLease {
-    WorkerPool* pool = nullptr;          ///< held pool, if any
-    std::atomic<bool>* flag = nullptr;   ///< held pool-less busy flag, if any
-    ~DispatchLease() {
-      if (pool != nullptr) {
-        pool->release();
-      }
-      if (flag != nullptr) {
-        flag->store(false);
-      }
-    }
-  } lease;
+  // A call from inside a running job skips the lock (its own engine may be
+  // holding it for this very chunk) and runs on the job's thread with its
+  // own scratch, since the slots belong to whoever holds the lock.
+  const bool reentrant = running_job;
+  std::unique_lock<std::mutex> lock(dispatch_mutex_, std::defer_lock);
   if (!reentrant) {
-    if (pool_ != nullptr) {
-      pool_->acquire();
-      lease.pool = pool_.get();
-    } else if (!serial_busy_.exchange(true)) {
-      lease.flag = &serial_busy_;
-    }
+    lock.lock();
   }
-
-  const std::size_t workers = worker_count(specs.size());
-  if (workers <= 1 || lease.pool == nullptr) {
-    // Small batch, single-worker engine, or a re-entrant call: run on the
-    // calling thread.  The persistent slot-0 scratch is only safe while
-    // this call holds the engine exclusively.
-    ExecutionScratch local;
-    const bool slot0_safe = lease.pool != nullptr || lease.flag != nullptr;
-    const TlsDispatchGuard tls(this);
-    run_serial(specs, observer, aggregate, classifier_cache,
-               slot0_safe ? scratch_[0] : local);
-    return aggregate;
-  }
+  ExecutionScratch reentrant_scratch;
 
   const SchemeRegistry& schemes = registry();
-  std::mutex observer_mutex;
+  std::vector<Report> runs(specs.size());
   std::exception_ptr first_error;
   std::mutex error_mutex;
-
-  // Jobs inherit the submitting thread's dispatch chain, so a re-entrant
-  // run_batch from an observer or scheme — even one reached through
-  // another engine's pool thread — takes the serial fallback.
-  const TlsDispatchGuard* parent_chain = TlsDispatchGuard::current_chain();
-  const WorkerPool::Job job = [&, parent_chain](std::size_t slot,
-                                                std::size_t i) {
-    const TlsDispatchGuard tls(this, parent_chain);
+  const WorkerPool::Job job = [&](std::size_t slot, std::size_t i) {
+    const bool outer = std::exchange(running_job, true);
     try {
-      aggregate.runs[i] =
-          execute(specs[i], schemes, &classifier_cache, &scratch_[slot]);
-      if (observer) {
-        const std::lock_guard<std::mutex> lock(observer_mutex);
-        observer(i, aggregate.runs[i]);
-      }
+      runs[i] = execute(specs[i], schemes, &classifier_cache,
+                        reentrant ? &reentrant_scratch : &scratch_[slot]);
     } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
+      const std::lock_guard<std::mutex> error_lock(error_mutex);
       if (!first_error) {
         first_error = std::current_exception();
       }
     }
+    running_job = outer;
   };
-  pool_->run(specs.size(), job);
+  if (reentrant || worker_count(specs.size()) <= 1) {
+    // Re-entry, a single-worker engine or a one-spec chunk: the same job,
+    // inline on the calling thread as slot 0.
+    for (std::size_t i = 0; i < specs.size() && !first_error; ++i) {
+      job(0, i);
+    }
+  } else {
+    pool_->run(specs.size(), job);
+  }
   if (first_error) {
     std::rethrow_exception(first_error);
   }
-  return aggregate;
+  return runs;
 }
 
 AggregateReport DiagnosisEngine::run_batch(
-    const std::vector<SessionSpec>& specs,
-    const RunObserver& observer) const {
-  // Shared across the whole batch (and its workers): runs with identical
-  // (test, geometry, retention) classify against one signature dictionary
-  // instead of rebuilding it per run.
+    const std::vector<SessionSpec>& specs) const {
+  // The stream path with the whole batch as one window: shared across the
+  // batch's workers, runs with identical (test, geometry, retention)
+  // classify against one signature dictionary instead of rebuilding it per
+  // run, and the fold runs in submission order so a batch aggregate's
+  // folded state is bit-identical to a streaming sweep's over the same
+  // specs.  The Reports are moved into runs, never copied.
   diagnosis::ClassifierCache classifier_cache;
-  AggregateReport aggregate = run_batch_impl(specs, observer,
-                                             classifier_cache);
-  // Fold in submission order so a batch aggregate's folded state is
-  // bit-identical to a streaming sweep's over the same specs.
+  AggregateReport aggregate;
+  aggregate.runs = run_chunk(specs, classifier_cache);
   for (const Report& report : aggregate.runs) {
     aggregate.folded.fold(report);
   }
@@ -609,12 +500,12 @@ AggregateReport DiagnosisEngine::run_batch(
 }
 
 Expected<AggregateReport, ConfigError> DiagnosisEngine::run_sweep(
-    const SweepSpec& sweep, const RunObserver& observer) const {
+    const SweepSpec& sweep) const {
   auto specs = sweep.expand(registry());
   if (!specs) {
     return make_unexpected(specs.error());
   }
-  return run_batch(specs.value(), observer);
+  return run_batch(specs.value());
 }
 
 DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
@@ -662,11 +553,11 @@ DiagnosisEngine::StreamResult DiagnosisEngine::run_stream(
     if (chunk.empty()) {
       break;
     }
-    AggregateReport batch = run_batch_impl(chunk, {}, classifier_cache);
     // Fold strictly in submission order — the window reorders execution,
     // never results — so every prefix aggregate (and thus every
-    // checkpoint) depends only on the stream prefix it covers.
-    for (const Report& report : batch.runs) {
+    // checkpoint) depends only on the stream prefix it covers.  The sink
+    // and progress fire here, after the chunk released the dispatch lock.
+    for (const Report& report : run_chunk(chunk, classifier_cache)) {
       result.aggregate.folded.fold(report);
       if (options.sink) {
         options.sink(static_cast<std::size_t>(stream_index), report);

@@ -6,22 +6,31 @@
 // execution — a Report depends only on its spec, never on scheduling.
 //
 // The pool is created once at engine construction and fed through a work
-// queue; run_batch()/run_sweep() never spawn or join threads, so
-// steady-state batch traffic does zero thread churn.  Each worker slot
+// queue; run_batch()/run_sweep()/run_stream() never spawn or join threads,
+// so steady-state batch traffic does zero thread churn.  Each worker slot
 // keeps an ExecutionScratch persisted across batches (DiagnosisLog
 // capacity feedback), trimming per-run allocation without ever touching
 // results — scratch only pre-sizes buffers.
+//
+// Concurrency contract: the only per-run callback is run_stream()'s sink,
+// and it fires on the submitting thread, in submission order, after the
+// chunk it belongs to has finished — never inside a dispatch.  Each
+// engine, pooled or not, holds one dispatch lock for one chunk at a time,
+// so a concurrent call from another thread blocks until the chunk ends
+// (want overlap? use one engine per submitting thread — engines are
+// cheap).  A scheme that calls back into an engine from inside a running
+// job runs that call serially on the job's thread instead of deadlocking.
 //
 // SweepSpec builds such batches declaratively: the cartesian product of
 // SoC configurations x schemes x defect rates x seeds over a shared base
 // spec, validated axis by axis through the same Expected pipeline.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,33 +153,23 @@ class DiagnosisEngine {
       diagnosis::ClassifierCache* classifier_cache = nullptr,
       ExecutionScratch* scratch = nullptr);
 
-  /// Called once per finished run, possibly from a worker thread but never
-  /// concurrently (the engine serializes observer calls).  @p index is the
-  /// run's position in the submitted batch; completion order across
-  /// indices is unspecified under > 1 worker.
-  using RunObserver = std::function<void(std::size_t index, const Report&)>;
-
   /// Executes the batch across the persistent worker pool and aggregates.
   /// Per-run Reports land in AggregateReport::runs at their submission
-  /// index.  No threads are spawned here — the pool outlives the batch.
-  ///
-  /// Concurrency contract: one batch dispatches on an engine at a time.
-  /// A concurrent run_batch from another thread blocks until the engine
-  /// frees, then runs parallel itself (want overlap? use one engine per
-  /// submitting thread — engines are cheap).  A *re-entrant* call — an
-  /// observer or scheme re-entering the same engine mid-batch, even
-  /// through another engine's dispatch — runs serially on the calling
-  /// thread instead of deadlocking.  Like any blocking resource, engines
-  /// observe lock ordering: observers that dispatch *other* engines must
-  /// not form opposite-order chains across threads (thread 1: A's
-  /// observer -> B, thread 2: B's observer -> A is a classic lock cycle).
+  /// index.  This is run_stream() with the whole batch as one window whose
+  /// Reports are kept rather than dropped: the same dispatch, the same
+  /// submission-order fold.  No threads are spawned here — the pool
+  /// outlives the batch.  Blocking and re-entry follow the concurrency
+  /// contract at the top of this header.
   [[nodiscard]] AggregateReport run_batch(
-      const std::vector<SessionSpec>& specs,
-      const RunObserver& observer = {}) const;
+      const std::vector<SessionSpec>& specs) const;
 
   /// Convenience: expand the sweep, then run_batch() the product.
   [[nodiscard]] Expected<AggregateReport, ConfigError> run_sweep(
-      const SweepSpec& sweep, const RunObserver& observer = {}) const;
+      const SweepSpec& sweep) const;
+
+  /// Per-run callback of run_stream(): @p index is the run's absolute
+  /// stream position.
+  using RunSink = std::function<void(std::size_t index, const Report&)>;
 
   /// Pull-source of specs for run_stream(); nullopt ends the stream.
   /// Called only on the submitting thread, in submission order.
@@ -182,10 +181,11 @@ class DiagnosisEngine {
     /// 0 picks 4x the engine's workers (at least 16).
     std::size_t window = 0;
 
-    /// Per-run result sink, called in submission-index order (unlike the
-    /// batch observer, which fires in completion order) with the absolute
-    /// stream index; the Report is dropped right after, never retained.
-    RunObserver sink;
+    /// Per-run result sink, called on the submitting thread in
+    /// submission-index order once the run's chunk has finished (outside
+    /// any dispatch, so it may call back into this engine); the Report is
+    /// dropped right after, never retained.
+    RunSink sink;
 
     /// When non-zero, progress() fires exactly at every multiple of this
     /// many completed runs (and once more at stream end) with the folded
@@ -236,31 +236,24 @@ class DiagnosisEngine {
   class WorkerPool;
 
   [[nodiscard]] const SchemeRegistry& registry() const;
-  void run_serial(const std::vector<SessionSpec>& specs,
-                  const RunObserver& observer, AggregateReport& aggregate,
-                  diagnosis::ClassifierCache& classifier_cache,
-                  ExecutionScratch& scratch) const;
 
-  /// The dispatch core of run_batch()/run_stream(): fills the aggregate's
-  /// runs (at submission indices) without folding, sharing
-  /// @p classifier_cache across the batch's workers.
-  [[nodiscard]] AggregateReport run_batch_impl(
-      const std::vector<SessionSpec>& specs, const RunObserver& observer,
+  /// The dispatch core of run_batch()/run_stream(): executes one chunk
+  /// under the dispatch lock, sharing @p classifier_cache across its
+  /// workers, and returns the Reports at their submission indices.
+  [[nodiscard]] std::vector<Report> run_chunk(
+      const std::vector<SessionSpec>& specs,
       diagnosis::ClassifierCache& classifier_cache) const;
 
   EngineOptions options_;
   std::size_t resolved_workers_ = 1;
   std::unique_ptr<WorkerPool> pool_;  ///< nullptr when resolved_workers_ == 1
 
-  /// Slot w belongs to worker w (slot 0 = the calling thread); a slot is
-  /// only ever touched by its worker while a batch runs.
-  mutable std::vector<ExecutionScratch> scratch_;
+  /// Held by run_chunk() for one chunk: one dispatch per engine at a time.
+  mutable std::mutex dispatch_mutex_;
 
-  /// Pool-less engines gate their slot-0 scratch here so concurrent
-  /// run_batch calls from different threads stay race-free (a loser just
-  /// runs with throwaway local scratch; pooled engines serialize on the
-  /// pool's dispatch mutex instead).
-  mutable std::atomic<bool> serial_busy_{false};
+  /// Slot w belongs to worker w (slot 0 = the thread holding the dispatch
+  /// lock); a slot is only ever touched by its worker while a chunk runs.
+  mutable std::vector<ExecutionScratch> scratch_;
 };
 
 }  // namespace fastdiag::core

@@ -51,7 +51,7 @@ class SessionSpec {
   /// variants (sweeps change one axis per derived spec).
   [[nodiscard]] Builder rebuild() const;
 
-  /// "fast seed=7 rate=1.00% memories=2" — used by reports and observers.
+  /// "fast seed=7 rate=1.00% memories=2" — used by reports and sinks.
   [[nodiscard]] std::string label() const;
 
  private:

@@ -72,7 +72,7 @@ struct CheckpointedSweepOptions {
 
   /// Forwarded to DiagnosisEngine::StreamOptions.
   std::size_t window = 0;
-  core::DiagnosisEngine::RunObserver sink;
+  core::DiagnosisEngine::RunSink sink;
 };
 
 struct CheckpointedSweepResult {

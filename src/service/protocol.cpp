@@ -112,6 +112,16 @@ bool write_frame(int fd, MessageType type, const std::string& text) {
 
 core::Expected<core::SessionSpec, core::ConfigError> JobRequest::to_spec(
     const core::SchemeRegistry& registry) const {
+  std::uint64_t cells = 0;
+  for (const auto& config : configs) {
+    cells += std::uint64_t{config.words} * config.bits;
+    if (cells > kMaxJobCells) {
+      return make_unexpected(core::ConfigError{
+          core::ConfigErrorCode::invalid_memory,
+          "job exceeds " + std::to_string(kMaxJobCells) +
+              " cells (words x bits summed over its memories)"});
+    }
+  }
   auto builder = core::SessionSpec::builder();
   builder.add_srams(configs)
       .scheme(scheme)

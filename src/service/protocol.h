@@ -29,6 +29,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x504A4446;  // "FDJP"
 /// error, not an allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
+/// Upper bound on one job's cells (words x bits summed over its memories):
+/// JobRequest::to_spec() refuses a larger job before anything is allocated.
+inline constexpr std::uint64_t kMaxJobCells = std::uint64_t{1} << 24;
+
 enum class MessageType : std::uint8_t {
   // requests
   ping = 0,
@@ -68,7 +72,8 @@ struct Frame {
 /// The serializable image of one diagnosis job — every SessionSpec::Builder
 /// input a remote client can set.  to_spec() funnels through the normal
 /// builder validation, so a malformed request fails with the same
-/// ConfigError vocabulary a local caller would see.
+/// ConfigError vocabulary a local caller would see; a job over
+/// kMaxJobCells fails with invalid_memory.
 struct JobRequest {
   std::vector<sram::SramConfig> configs;
   std::string scheme = "fast";

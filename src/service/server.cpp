@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <poll.h>
 #include <thread>
@@ -84,33 +85,39 @@ bool JobServer::handle_request(const Frame& request, int out_fd) {
 
     case MessageType::submit_job: {
       jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
-      auto decoded =
-          decode_job_request(request.payload.data(), request.payload.size());
-      if (!decoded) {
+      const auto fail = [&](const std::string& message) {
         jobs_failed_.fetch_add(1, std::memory_order_relaxed);
-        return write_frame(out_fd, MessageType::error,
-                           decoded.error().message);
+        return write_frame(out_fd, MessageType::error, message);
+      };
+      // A job that throws (an allocation failure, a scheme's own error)
+      // fails alone: the connection and the server keep serving.
+      try {
+        auto decoded = decode_job_request(request.payload.data(),
+                                          request.payload.size());
+        if (!decoded) {
+          return fail(decoded.error().message);
+        }
+        auto spec = decoded.value().to_spec();
+        if (!spec) {
+          return fail(spec.error().to_string());
+        }
+        const auto started = std::chrono::steady_clock::now();
+        const core::Report report =
+            core::DiagnosisEngine::execute(spec.value(),
+                                           core::SchemeRegistry::global(),
+                                           &cache_);
+        const auto elapsed = std::chrono::steady_clock::now() - started;
+        total_job_ns_.fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                    .count()),
+            std::memory_order_relaxed);
+        jobs_ok_.fetch_add(1, std::memory_order_relaxed);
+        return write_frame(out_fd, MessageType::job_report,
+                           encode_report(report));
+      } catch (const std::exception& e) {
+        return fail(std::string("job failed: ") + e.what());
       }
-      auto spec = decoded.value().to_spec();
-      if (!spec) {
-        jobs_failed_.fetch_add(1, std::memory_order_relaxed);
-        return write_frame(out_fd, MessageType::error,
-                           spec.error().to_string());
-      }
-      const auto started = std::chrono::steady_clock::now();
-      const core::Report report =
-          core::DiagnosisEngine::execute(spec.value(),
-                                         core::SchemeRegistry::global(),
-                                         &cache_);
-      const auto elapsed = std::chrono::steady_clock::now() - started;
-      total_job_ns_.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()),
-          std::memory_order_relaxed);
-      jobs_ok_.fetch_add(1, std::memory_order_relaxed);
-      return write_frame(out_fd, MessageType::job_report,
-                         encode_report(report));
     }
 
     case MessageType::get_stats:

@@ -4,7 +4,7 @@
 // bit-identity).
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -246,21 +246,6 @@ TEST(Engine, ParallelRunsAreBitIdenticalToSerial) {
   }
 }
 
-TEST(Engine, ObserverSeesEveryRunExactlyOnce) {
-  const auto specs = spec_batch();
-  std::atomic<std::size_t> calls{0};
-  std::set<std::size_t> indices;
-  const auto report = DiagnosisEngine({.workers = 4}).run_batch(
-      specs, [&](std::size_t index, const Report& run) {
-        ++calls;
-        indices.insert(index);  // serialized by the engine
-        EXPECT_FALSE(run.scheme_name.empty());
-      });
-  EXPECT_EQ(calls.load(), specs.size());
-  EXPECT_EQ(indices.size(), specs.size());
-  EXPECT_EQ(report.run_count(), specs.size());
-}
-
 TEST(Engine, EmptyBatchIsFine) {
   const auto report = DiagnosisEngine({.workers = 8}).run_batch({});
   EXPECT_EQ(report.run_count(), 0u);
@@ -309,9 +294,9 @@ TEST(Engine, PoolThreadsMatchResolvedWorkers) {
 }
 
 TEST(Engine, ConcurrentCallersShareOneEngineSafely) {
-  // One batch dispatches per engine at a time: a concurrent caller blocks
-  // until the pool frees (pooled engine) or runs with throwaway scratch
-  // (pool-less engine).  Either way both callers get bit-identical
+  // One chunk dispatches per engine at a time, pooled or not: a concurrent
+  // caller blocks on the engine's dispatch lock until the chunk ends, then
+  // runs with the engine's own scratch.  Both callers get bit-identical
   // reports and no data races.
   const auto specs = spec_batch();
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
@@ -335,64 +320,165 @@ TEST(Engine, ConcurrentCallersShareOneEngineSafely) {
   }
 }
 
-TEST(Engine, ChainedReentrancyAcrossEnginesDoesNotDeadlock) {
-  // A -> B -> A: engine A's observer dispatches engine B, whose observer
-  // re-enters A.  The inner A call may land on one of B's pool threads,
-  // so re-entrancy detection must follow the dispatch chain across
-  // threads — a plain thread-local marker would block on A's own
-  // dispatch mutex forever.
+/// A run_stream() source yielding @p specs in order.
+DiagnosisEngine::SpecSource source_of(const std::vector<SessionSpec>& specs) {
+  return [&specs, cursor = std::size_t{0}]() mutable
+         -> std::optional<SessionSpec> {
+    if (cursor >= specs.size()) {
+      return std::nullopt;
+    }
+    return specs[cursor++];
+  };
+}
+
+TEST(Engine, ChainedSinksAcrossEnginesDoNotDeadlock) {
+  // A -> B -> A: engine A's sink streams through engine B, whose sink
+  // re-enters A.  Sinks fire on the submitting thread after their chunk
+  // released the dispatch lock, so the inner A call just takes A's lock
+  // and runs parallel.
   const auto specs = spec_batch();
   const std::vector<SessionSpec> small(specs.begin(), specs.begin() + 2);
   DiagnosisEngine a({.workers = 2});
   DiagnosisEngine b({.workers = 2});
   const auto plain = DiagnosisEngine({.workers = 1}).run_batch(small);
 
-  std::atomic<bool> entered{false};
-  const auto outer =
-      a.run_batch(small, [&](std::size_t i, const Report&) {
-        if (i != 0) {
-          return;
-        }
-        (void)b.run_batch(small, [&](std::size_t j, const Report&) {
-          if (j != 0 || entered.exchange(true)) {
-            return;
-          }
-          const auto nested = a.run_batch(small);
-          ASSERT_EQ(nested.run_count(), small.size());
-          for (std::size_t k = 0; k < small.size(); ++k) {
-            EXPECT_EQ(nested.runs[k].result.log.to_csv(),
-                      plain.runs[k].result.log.to_csv());
-          }
-        });
-      });
-  EXPECT_TRUE(entered.load());
-  EXPECT_EQ(outer.run_count(), small.size());
+  bool entered = false;
+  DiagnosisEngine::StreamOptions inner;
+  inner.sink = [&](std::size_t j, const Report&) {
+    if (j != 0 || entered) {
+      return;
+    }
+    entered = true;
+    const auto nested = a.run_batch(small);
+    ASSERT_EQ(nested.run_count(), small.size());
+    for (std::size_t k = 0; k < small.size(); ++k) {
+      EXPECT_EQ(nested.runs[k].result.log.to_csv(),
+                plain.runs[k].result.log.to_csv());
+    }
+  };
+  DiagnosisEngine::StreamOptions outer;
+  outer.sink = [&](std::size_t i, const Report&) {
+    if (i == 0) {
+      (void)b.run_stream(source_of(small), inner);
+    }
+  };
+  const auto result = a.run_stream(source_of(small), outer);
+  EXPECT_TRUE(entered);
+  EXPECT_EQ(result.completed, small.size());
 }
 
-TEST(Engine, ReentrantRunBatchFallsBackToTheCallingThread) {
-  // An observer (running on some pool worker) that re-enters run_batch on
-  // the same engine must not deadlock on the busy pool: the nested batch
-  // runs serially on the calling thread and still yields correct reports.
+TEST(Engine, SinkReentersItsOwnEngineOnTheSubmittingThread) {
+  // The sink fires on the submitting thread, outside any dispatch, so it
+  // may run a batch on the engine that is streaming it.
   const auto specs = spec_batch();
   const std::vector<SessionSpec> nested_specs(specs.begin(),
                                               specs.begin() + 2);
   DiagnosisEngine engine({.workers = 3});
   const auto plain = engine.run_batch(nested_specs);
 
-  std::atomic<std::size_t> nested_runs{0};
-  const auto outer =
-      engine.run_batch(specs, [&](std::size_t index, const Report&) {
-        if (index == 0) {
-          const auto nested = engine.run_batch(nested_specs);
-          nested_runs = nested.run_count();
-          for (std::size_t i = 0; i < nested.run_count(); ++i) {
-            EXPECT_EQ(nested.runs[i].result.log.to_csv(),
-                      plain.runs[i].result.log.to_csv());
-          }
-        }
-      });
-  EXPECT_EQ(outer.run_count(), specs.size());
-  EXPECT_EQ(nested_runs.load(), nested_specs.size());
+  const auto caller = std::this_thread::get_id();
+  std::size_t nested_runs = 0;
+  DiagnosisEngine::StreamOptions options;
+  options.sink = [&](std::size_t index, const Report&) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    if (index == 0) {
+      const auto nested = engine.run_batch(nested_specs);
+      nested_runs = nested.run_count();
+      for (std::size_t i = 0; i < nested.run_count(); ++i) {
+        EXPECT_EQ(nested.runs[i].result.log.to_csv(),
+                  plain.runs[i].result.log.to_csv());
+      }
+    }
+  };
+  const auto result = engine.run_stream(source_of(specs), options);
+  EXPECT_EQ(result.completed, specs.size());
+  EXPECT_EQ(nested_runs, nested_specs.size());
+}
+
+/// The fast scheme, except that diagnose() first runs @p nested on
+/// @p engine — the engine executing this very scheme — and hands the
+/// nested batch to @p record.
+class ReentrantScheme final : public bisd::DiagnosisScheme {
+ public:
+  using Record = std::function<void(AggregateReport)>;
+
+  ReentrantScheme(const DiagnosisEngine& engine,
+                  const std::vector<SessionSpec>& nested, Record record)
+      : engine_(engine), nested_(nested), record_(std::move(record)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  bisd::DiagnosisResult diagnose(bisd::SocUnderTest& soc) override {
+    record_(engine_.run_batch(nested_));
+    return inner_.diagnose(soc);
+  }
+
+ private:
+  const DiagnosisEngine& engine_;
+  const std::vector<SessionSpec>& nested_;
+  Record record_;
+  bisd::FastScheme inner_;
+};
+
+TEST(Engine, SchemeReenteringItsOwnEngineRunsSerially) {
+  // A job whose scheme calls run_batch on the engine running it: on the
+  // calling thread (slot 0) and on pool threads alike, the nested batch
+  // must run serially on the job's thread instead of waiting for the
+  // dispatch lock its own chunk holds.
+  SchemeRegistry registry;
+  registry.register_scheme("user-fast", {}, [](const SchemeContext&) {
+    return std::make_unique<bisd::FastScheme>();
+  });
+  const DiagnosisEngine* running = nullptr;
+  std::vector<SessionSpec> nested;
+  std::mutex record_mutex;
+  std::vector<AggregateReport> recorded;
+  registry.register_scheme("reentrant", {}, [&](const SchemeContext&) {
+    return std::make_unique<ReentrantScheme>(
+        *running, nested, [&](AggregateReport batch) {
+          const std::lock_guard<std::mutex> lock(record_mutex);
+          recorded.push_back(std::move(batch));
+        });
+  });
+
+  SweepSpec sweep;
+  sweep.base = SessionSpec::builder()
+                   .add_sram(small("a", 48, 12))
+                   .add_sram(small("b", 32, 8))
+                   .defect_rate(0.02);
+  sweep.seeds = {11, 22, 33, 44};
+  sweep.schemes = {"user-fast"};
+  nested = sweep.expand(registry).value();
+  sweep.schemes = {"reentrant"};
+  const auto specs = sweep.expand(registry).value();
+  const auto plain =
+      DiagnosisEngine({.workers = 1, .registry = &registry}).run_batch(nested);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    recorded.clear();
+    const DiagnosisEngine engine({.workers = workers, .registry = &registry});
+    running = &engine;
+    const auto outer = engine.run_batch(specs);
+    ASSERT_EQ(outer.run_count(), specs.size());
+    ASSERT_EQ(recorded.size(), specs.size()) << "workers " << workers;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      // Same seeds, same delegated scheme: the outer runs match too.
+      EXPECT_EQ(outer.runs[i].result.log.to_csv(),
+                plain.runs[i].result.log.to_csv())
+          << "workers " << workers << " run " << i;
+      EXPECT_EQ(outer.runs[i].total_ns, plain.runs[i].total_ns)
+          << "workers " << workers << " run " << i;
+    }
+    for (const auto& batch : recorded) {
+      ASSERT_EQ(batch.run_count(), nested.size());
+      EXPECT_EQ(batch.folded, plain.folded) << "workers " << workers;
+      for (std::size_t i = 0; i < nested.size(); ++i) {
+        EXPECT_EQ(batch.runs[i].result.log.to_csv(),
+                  plain.runs[i].result.log.to_csv())
+            << "workers " << workers << " nested run " << i;
+      }
+    }
+  }
 }
 
 TEST(Engine, WorkerCountClampsToBatchAndResolvesAuto) {
@@ -519,7 +605,6 @@ TEST(Stream, SinkSeesAbsoluteIndicesAndProgressFiresOnInterval) {
   const auto specs = spec_batch();
   DiagnosisEngine engine({.workers = 2});
 
-  std::size_t cursor = 0;
   std::set<std::size_t> seen;
   std::vector<std::uint64_t> progress_marks;
   DiagnosisEngine::StreamOptions options;
@@ -532,14 +617,7 @@ TEST(Stream, SinkSeesAbsoluteIndicesAndProgressFiresOnInterval) {
   options.progress = [&](std::uint64_t completed, const AggregateReport&) {
     progress_marks.push_back(completed);
   };
-  const auto result = engine.run_stream(
-      [&]() -> std::optional<SessionSpec> {
-        if (cursor >= specs.size()) {
-          return std::nullopt;
-        }
-        return specs[cursor++];
-      },
-      options);
+  const auto result = engine.run_stream(source_of(specs), options);
 
   EXPECT_EQ(result.completed, specs.size());
   EXPECT_EQ(seen.size(), specs.size());

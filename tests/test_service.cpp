@@ -99,6 +99,43 @@ std::vector<std::uint8_t> wider_than_test_cache_blob() {
   return one_entry_cache_blob(small("wide", 16, 16), test);
 }
 
+/// One JobServer connection over a pipe pair, served on its own thread.
+/// Destruction sends shutdown, joins the thread and closes every end.
+class PipeSession {
+ public:
+  explicit PipeSession(JobServer& server) {
+    EXPECT_EQ(pipe(to_server_), 0);
+    EXPECT_EQ(pipe(from_server_), 0);
+    worker_ = std::thread(
+        [&server, this] { server.serve_connection(to_server_[0],
+                                                  from_server_[1]); });
+  }
+  ~PipeSession() {
+    (void)request(MessageType::shutdown);
+    worker_.join();
+    for (int fd : {to_server_[0], to_server_[1], from_server_[0],
+                   from_server_[1]}) {
+      close(fd);
+    }
+  }
+  PipeSession(const PipeSession&) = delete;
+  PipeSession& operator=(const PipeSession&) = delete;
+
+  /// Sends one request frame and returns the server's response.
+  Frame request(MessageType type,
+                const std::vector<std::uint8_t>& payload = {}) {
+    Frame response;
+    EXPECT_TRUE(write_frame(to_server_[1], type, payload));
+    EXPECT_TRUE(read_frame(from_server_[0], response));
+    return response;
+  }
+
+ private:
+  int to_server_[2] = {-1, -1};
+  int from_server_[2] = {-1, -1};
+  std::thread worker_;
+};
+
 // ---- primitives -----------------------------------------------------------
 
 TEST(Bytes, PrimitivesRoundTripLittleEndian) {
@@ -573,20 +610,9 @@ TEST(JobServer, ClientCachePathsAreConfinedToTheCacheDir) {
   ServerOptions options;
   options.cache_dir = ::testing::TempDir();
   JobServer server(options);
-  int to_server[2];
-  int from_server[2];
-  ASSERT_EQ(pipe(to_server), 0);
-  ASSERT_EQ(pipe(from_server), 0);
-  std::thread worker(
-      [&] { server.serve_connection(to_server[0], from_server[1]); });
-  const int out = to_server[1];
-  const int in = from_server[0];
-
+  PipeSession session(server);
   const auto request = [&](MessageType type, const std::string& name) {
-    Frame response;
-    EXPECT_TRUE(write_frame(out, type, str_payload(name)));
-    EXPECT_TRUE(read_frame(in, response));
-    return response.type;
+    return session.request(type, str_payload(name)).type;
   };
 
   // Traversal and absolute paths are refused before touching the fs.
@@ -599,14 +625,6 @@ TEST(JobServer, ClientCachePathsAreConfinedToTheCacheDir) {
   EXPECT_EQ(request(MessageType::save_cache, name), MessageType::ok);
   EXPECT_EQ(request(MessageType::load_cache, name), MessageType::stats_json);
   std::remove((options.cache_dir + "/" + name).c_str());
-
-  Frame response;
-  ASSERT_TRUE(write_frame(out, MessageType::shutdown, std::string()));
-  ASSERT_TRUE(read_frame(in, response));
-  worker.join();
-  for (int fd : {to_server[0], to_server[1], from_server[0], from_server[1]}) {
-    close(fd);
-  }
 }
 
 TEST(JobServer, RefusedCacheEntryIsAnErrorReplyAndServingGoesOn) {
@@ -623,62 +641,67 @@ TEST(JobServer, RefusedCacheEntryIsAnErrorReplyAndServingGoesOn) {
     std::fclose(file);
   }
 
-  JobServer server(options);
-  int to_server[2];
-  int from_server[2];
-  ASSERT_EQ(pipe(to_server), 0);
-  ASSERT_EQ(pipe(from_server), 0);
-  std::thread worker(
-      [&] { server.serve_connection(to_server[0], from_server[1]); });
-  const int out = to_server[1];
-  const int in = from_server[0];
+  {
+    JobServer server(options);
+    PipeSession session(server);
+    EXPECT_EQ(
+        session.request(MessageType::load_cache, str_payload(name)).type,
+        MessageType::error);
+    EXPECT_EQ(server.cache().size(), 0u);
 
-  Frame response;
-  ASSERT_TRUE(write_frame(out, MessageType::load_cache, str_payload(name)));
-  ASSERT_TRUE(read_frame(in, response));
-  EXPECT_EQ(response.type, MessageType::error);
-  EXPECT_EQ(server.cache().size(), 0u);
-
-  // The same connection keeps serving: a job still runs end to end.
-  JobRequest request;
-  request.configs = {small("after", 32, 8)};
-  request.classify = true;
-  ASSERT_TRUE(write_frame(out, MessageType::submit_job,
-                          encode_job_request(request)));
-  ASSERT_TRUE(read_frame(in, response));
-  EXPECT_EQ(response.type, MessageType::job_report);
-
-  ASSERT_TRUE(write_frame(out, MessageType::shutdown, std::string()));
-  ASSERT_TRUE(read_frame(in, response));
-  worker.join();
-  for (int fd : {to_server[0], to_server[1], from_server[0], from_server[1]}) {
-    close(fd);
+    // The same connection keeps serving: a job still runs end to end.
+    JobRequest request;
+    request.configs = {small("after", 32, 8)};
+    request.classify = true;
+    EXPECT_EQ(session
+                  .request(MessageType::submit_job,
+                           encode_job_request(request))
+                  .type,
+              MessageType::job_report);
   }
   std::remove(path.c_str());
+}
+
+TEST(JobServer, OversizedJobIsRefusedBeforeItAllocates) {
+  // 2^31 words x 2^20 bits: to_spec() must refuse it by its cell count
+  // before any memory is sized (sanitizers abort on such an allocation
+  // instead of throwing), and the connection keeps serving.
+  JobRequest oversized;
+  oversized.configs = {small("huge", 1u << 31, 1u << 20)};
+  const auto spec = oversized.to_spec();
+  ASSERT_FALSE(spec.has_value());
+  EXPECT_EQ(spec.error().code, core::ConfigErrorCode::invalid_memory);
+
+  JobServer server;
+  PipeSession session(server);
+  EXPECT_EQ(session
+                .request(MessageType::submit_job,
+                         encode_job_request(oversized))
+                .type,
+            MessageType::error);
+  JobRequest request;
+  request.configs = {small("after", 32, 8)};
+  EXPECT_EQ(
+      session.request(MessageType::submit_job, encode_job_request(request))
+          .type,
+      MessageType::job_report);
+
+  const Frame stats = session.request(MessageType::get_stats);
+  const std::string json(stats.payload.begin(), stats.payload.end());
+  EXPECT_NE(json.find("\"jobs_failed\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"jobs_ok\":1"), std::string::npos) << json;
 }
 
 TEST(JobServer, ClientCacheRequestsAreRefusedWithoutACacheDir) {
   // A default-constructed server has no cache dir: protocol-level cache
   // persistence is off entirely (the operator-facing *_file API remains).
   JobServer server;
-  int to_server[2];
-  int from_server[2];
-  ASSERT_EQ(pipe(to_server), 0);
-  ASSERT_EQ(pipe(from_server), 0);
-  std::thread worker(
-      [&] { server.serve_connection(to_server[0], from_server[1]); });
-  Frame response;
-  ASSERT_TRUE(write_frame(to_server[1], MessageType::save_cache,
-                          str_payload("innocent.fdcc")));
-  ASSERT_TRUE(read_frame(from_server[0], response));
-  EXPECT_EQ(response.type, MessageType::error);
-  ASSERT_TRUE(write_frame(to_server[1], MessageType::shutdown,
-                          std::string()));
-  ASSERT_TRUE(read_frame(from_server[0], response));
-  worker.join();
-  for (int fd : {to_server[0], to_server[1], from_server[0], from_server[1]}) {
-    close(fd);
-  }
+  PipeSession session(server);
+  EXPECT_EQ(session
+                .request(MessageType::save_cache,
+                         str_payload("innocent.fdcc"))
+                .type,
+            MessageType::error);
 }
 
 TEST(JobServer, CacheFilesRoundTripThroughTheServer) {
@@ -691,25 +714,15 @@ TEST(JobServer, CacheFilesRoundTripThroughTheServer) {
     JobServer server;
     auto spec = request.to_spec();
     ASSERT_TRUE(spec.has_value());
-    // Warm the server cache directly through its public surface: one
-    // served job via the pipe path would do the same.
-    int fds[2];
-    ASSERT_EQ(pipe(fds), 0);
-    int back[2];
-    ASSERT_EQ(pipe(back), 0);
-    std::thread worker([&] { server.serve_connection(fds[0], back[1]); });
-    Frame response;
-    ASSERT_TRUE(write_frame(fds[1], MessageType::submit_job,
-                            encode_job_request(request)));
-    ASSERT_TRUE(read_frame(back[0], response));
-    ASSERT_EQ(response.type, MessageType::job_report);
+    // Warm the server cache through one served job, then save it while
+    // the connection is still open.
+    PipeSession session(server);
+    ASSERT_EQ(session
+                  .request(MessageType::submit_job,
+                           encode_job_request(request))
+                  .type,
+              MessageType::job_report);
     ASSERT_TRUE(server.save_cache_file(path));
-    ASSERT_TRUE(write_frame(fds[1], MessageType::shutdown, std::string()));
-    ASSERT_TRUE(read_frame(back[0], response));
-    worker.join();
-    for (int fd : {fds[0], fds[1], back[0], back[1]}) {
-      close(fd);
-    }
   }
 
   JobServer reloaded;
