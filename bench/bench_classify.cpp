@@ -8,8 +8,9 @@
 // cold (dictionary warm-up included) and warm (steady-state classification)
 // — for both dictionary build modes: the per_candidate reference (one probe
 // replay per candidate fault) and the instance_sliced builder (packed
-// candidate batches, 64 of them replayed per word op).  The cold-build
-// speedup and the byte-identity of the resulting verdicts are part of the
+// candidate batches, 64 of them replayed per word op).  The instance_sliced
+// leg runs at every SIMD dispatch level this CPU supports.  The cold-build
+// speedup and the byte-identity of each level's verdicts are part of the
 // emitted `JSON:` line, plus the closed loop (diagnose -> classify ->
 // repair -> retest).
 #include <chrono>
@@ -130,12 +131,44 @@ double measure_closed_loop(std::size_t* residual) {
   return seconds;
 }
 
+/// One instance_sliced cold build at one SIMD dispatch level.
+struct LevelBuild {
+  simd::IsaLevel level = simd::IsaLevel::scalar;
+  ClassifyRun run;
+  bool identical = false;  ///< verdicts byte-identical to per_candidate
+};
+
 void classify_table() {
-  const ClassifyRun instance =
-      measure_classification(diagnosis::DictionaryBuildMode::instance_sliced);
+  // The per_candidate oracle dominates the bench's wall time, so it is
+  // built once; the instance_sliced leg is rebuilt cold at every dispatch
+  // level and each level's verdicts are checked against that one oracle.
   const ClassifyRun reference =
       measure_classification(diagnosis::DictionaryBuildMode::per_candidate);
-  const bool identical = instance.verdicts == reference.verdicts;
+  const simd::IsaLevel native = simd::active_level();
+  std::vector<LevelBuild> builds;
+  for (const auto level : reachable_isa_levels()) {
+    if (!simd::force(level)) {
+      continue;
+    }
+    LevelBuild build;
+    build.level = level;
+    build.run =
+        measure_classification(diagnosis::DictionaryBuildMode::instance_sliced);
+    build.identical = build.run.verdicts == reference.verdicts;
+    builds.push_back(std::move(build));
+  }
+  simd::force(native);
+
+  // The headline numbers are the native level's.
+  const ClassifyRun* headline = &builds.back().run;
+  bool identical = true;
+  for (const auto& build : builds) {
+    identical = identical && build.identical;
+    if (build.level == native) {
+      headline = &build.run;
+    }
+  }
+  const ClassifyRun& instance = *headline;
   const double speedup = instance.cold_seconds > 0
                              ? reference.cold_seconds / instance.cold_seconds
                              : 0.0;
@@ -151,18 +184,29 @@ void classify_table() {
   table.add_row({"classify (cold, per_candidate dictionaries)",
                  fmt_double(reference.cold_seconds * 1e3, 1) + " ms",
                  fmt_double(rate(reference.cold_seconds), 1)});
-  table.add_row({"classify (cold, instance_sliced dictionaries)",
-                 fmt_double(instance.cold_seconds * 1e3, 1) + " ms",
-                 fmt_double(rate(instance.cold_seconds), 1)});
+  std::vector<std::string> levels;
+  for (const auto& build : builds) {
+    table.add_row({"classify (cold, instance_sliced dictionaries, " +
+                       std::string(simd::isa_name(build.level)) + ")",
+                   fmt_double(build.run.cold_seconds * 1e3, 1) + " ms",
+                   fmt_double(rate(build.run.cold_seconds), 1)});
+    table.add_note(std::string(simd::isa_name(build.level)) +
+                   (build.identical ? ": verdicts byte-identical"
+                                    : ": VERDICTS DIVERGE!"));
+    levels.push_back(JsonObject()
+                         .field("isa", simd::isa_name(build.level))
+                         .field("cold_seconds", build.run.cold_seconds)
+                         .field("build_identical", build.identical)
+                         .str());
+  }
   table.add_row({"classify (warm)",
                  fmt_double(instance.warm_seconds * 1e3, 1) + " ms",
                  fmt_double(rate(instance.warm_seconds), 1)});
   table.add_row({"closed loop (diagnose..retest)",
                  fmt_double(loop_seconds * 1e3, 1) + " ms", "-"});
-  table.add_note("cold build speedup (instance_sliced over per_candidate): " +
-                 fmt_ratio(speedup) +
-                 std::string(identical ? " (verdicts byte-identical)"
-                                       : " (VERDICTS DIVERGE!)"));
+  table.add_note("cold build speedup (instance_sliced over per_candidate, " +
+                 std::string(simd::isa_name(native)) + "): " +
+                 fmt_ratio(speedup));
   table.add_note("instance_sliced " + instance.stats.to_string());
   table.add_note("per_candidate " + reference.stats.to_string());
   table.add_note("sites classified: " + std::to_string(instance.classified) +
@@ -180,10 +224,12 @@ void classify_table() {
           .field("sites", static_cast<std::uint64_t>(instance.sites))
           .field("classified",
                  static_cast<std::uint64_t>(instance.classified))
+          .field("isa", simd::isa_name(native))
           .field("cold_seconds", instance.cold_seconds)
           .field("cold_seconds_per_candidate", reference.cold_seconds)
           .field("cold_build_speedup", speedup, 2)
           .field("build_identical", identical)
+          .raw("levels", json_array(levels))
           .field("build_probe_replays",
                  static_cast<std::uint64_t>(instance.stats.probe_replays))
           .field("build_probe_replays_per_candidate",

@@ -8,8 +8,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "util/json.h"
+#include "util/simd.h"
 
 /// Call at the end of main(): runs the registered microbenchmarks.
 inline int run_microbenchmarks(int argc, char** argv) {
@@ -38,4 +40,18 @@ using fastdiag::util::json_array;
 /// The one line CI greps for: `JSON: {...}`.
 inline void print_json_line(const JsonObject& object) {
   std::printf("\nJSON: %s\n", object.str().c_str());
+}
+
+/// Every SIMD dispatch level this CPU can run, lowest first; benches walk
+/// them with fastdiag::simd::force to re-check bit-identity per level.
+inline std::vector<fastdiag::simd::IsaLevel> reachable_isa_levels() {
+  using fastdiag::simd::IsaLevel;
+  std::vector<IsaLevel> levels{IsaLevel::scalar};
+  if (fastdiag::simd::detected_level() >= IsaLevel::avx2) {
+    levels.push_back(IsaLevel::avx2);
+  }
+  if (fastdiag::simd::detected_level() >= IsaLevel::avx512) {
+    levels.push_back(IsaLevel::avx512);
+  }
+  return levels;
 }

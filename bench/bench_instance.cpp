@@ -95,16 +95,8 @@ struct LevelResult {
 
 bool instance_table() {
   constexpr int kRepetitions = 3;
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::scalar};
-  if (simd::detected_level() >= simd::IsaLevel::avx2) {
-    levels.push_back(simd::IsaLevel::avx2);
-  }
-  if (simd::detected_level() >= simd::IsaLevel::avx512) {
-    levels.push_back(simd::IsaLevel::avx512);
-  }
-
   std::vector<LevelResult> results;
-  for (const auto level : levels) {
+  for (const auto level : reachable_isa_levels()) {
     if (!simd::force(level)) {
       continue;
     }

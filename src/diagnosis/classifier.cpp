@@ -566,8 +566,8 @@ FaultClassifier::build_cell_sliced(const CellKey& key,
   }
 
   // ---- packing plan -------------------------------------------------------
-  // Candidates at disjoint cells cannot interact (CompositeProbeBehavior
-  // gives each candidate a private fault engine), so a round — one packed
+  // Candidates at disjoint cells cannot interact (every fault model is keyed
+  // on its own victim and aggressor cells), so a round — one packed
   // probe replay — may hold any candidate set with mutually disjoint
   // victim/aggressor cells, plus one extra rule: a stuck-open victim reads
   // through the per-column sense latch, whose history is the previous read

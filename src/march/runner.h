@@ -8,15 +8,15 @@
 // read (Sram::read_into), and the heap is touched only when a mismatch is
 // recorded.
 //
-// Four entry points share one element-loop driver (drive_march in the
+// Three entry points share one element-loop driver (drive_march in the
 // implementation): run() materializes the full Mismatch stream
 // (expected/actual word copies included), run_per_cell() folds the stream
 // straight into per-cell failed-read sets — the per_candidate dictionary
-// build's probe replay, and the one-memory-at-a-time reference the batched
-// replay is checked against — run_group() advances sliceable fleets as InstanceSlab lanes, and
-// run_group_per_cell() batches up to 64 packed probe memories per slab for
-// the instance-sliced dictionary build.  The clients differ only in delivery
-// (port vs broadcast) and demux (word mismatch vs lane mask vs lane/cell).
+// build's probe replay, and the single-fault oracle the batched replay is
+// checked against — and run_group_per_cell() batches up to 64 packed probe
+// memories per slab for the instance-sliced dictionary build.  The clients
+// differ only in delivery (port vs broadcast) and demux (word mismatch vs
+// lane/cell).
 #pragma once
 
 #include <cstdint>
@@ -84,33 +84,21 @@ class MarchRunner {
   RunResult run(sram::Sram& memory, const MarchTest& test,
                 std::uint32_t global_words = 0) const;
 
-  /// Runs @p test over a fleet of identical-geometry memories, one RunResult
-  /// per memory in input order, bit-identical to calling run() on each.
-  /// Memories whose access kernel is AccessKernel::instance_sliced and that
-  /// are sliceable() advance as bit-lanes of shared sram::InstanceSlabs
-  /// (chunks of up to 64, in input order) — one word op per cell-column for
-  /// the whole chunk; everything else falls back to the per-memory loop, so
-  /// faulty lanes keep exact per-cell semantics.
-  [[nodiscard]] std::vector<RunResult> run_group(
-      const std::vector<sram::Sram*>& memories, const MarchTest& test,
-      std::uint32_t global_words = 0) const;
-
   /// Multi-victim replay: runs @p test once and demultiplexes the mismatch
   /// stream per failing cell — every cell with at least one mismatching
   /// read bit maps to its distinct ReadEvents in March order.  Equivalent
   /// to folding run().mismatches per differing bit, but without copying an
-  /// expected/actual word pair per record, so a packed probe carrying many
-  /// candidate faults (faults::CompositeProbeBehavior) pays one replay for
-  /// every candidate's signature.
+  /// expected/actual word pair per record.
   [[nodiscard]] std::map<sram::CellCoord, std::vector<ReadEvent>>
   run_per_cell(sram::Sram& memory, const MarchTest& test,
                std::uint32_t global_words = 0) const;
 
-  /// Instance-sliced multi-victim replay: one run_per_cell result per lane,
-  /// bit-identical to replaying each lane's candidate list through its own
-  /// CompositeProbeBehavior memory of geometry @p probe_config — but the
-  /// whole group advances as bit-lanes of shared faults::SlicedProbeBatch
-  /// slabs (chunks of up to 64, in input order), one masked word op per
+  /// Instance-sliced multi-victim replay: one (cell -> reads) map per lane,
+  /// bit-identical to merging the run_per_cell results of the lane's
+  /// candidates, each replayed alone in a memory of geometry @p probe_config
+  /// (disjoint candidate cells give disjoint failing cells).  The whole
+  /// group advances as bit-lanes of shared faults::SlicedProbeBatch slabs
+  /// (chunks of up to 64, in input order), one masked word op per
   /// cell-column plus exact per-candidate records.  Mismatching reads demux
   /// from the packed compare masks straight to (lane, cell) coordinates.
   [[nodiscard]] std::vector<std::map<sram::CellCoord, std::vector<ReadEvent>>>

@@ -19,9 +19,8 @@ namespace fastdiag::sram {
 ///    memories into bit-sliced sram::InstanceSlab lanes (bit k of each limb
 ///    = memory k's cell), so one March op advances up to 64 memories per
 ///    word operation.  Slicing is a group-level decision: schemes acting on
-///    a whole SoC (bisd::SocUnderTest::slice_groups) and the MarchRunner
-///    group path consume it; a lone memory treats instance_sliced exactly
-///    like word_parallel.  Memories that cannot slice (faulty, repaired,
+///    a whole SoC (bisd::SocUnderTest::slice_groups) consume it; a lone
+///    memory treats instance_sliced exactly like word_parallel.  Memories that cannot slice (faulty, repaired,
 ///    no idle mode, odd geometry) fall back to the word_parallel path —
 ///    exact per-cell fault semantics are preserved either way.
 ///

@@ -11,9 +11,8 @@
 // per cell — bit-for-bit the reference semantics — while implementations
 // that can prove a row is defect-free override them with packed limb copies
 // (real measurement hardware scans full words per cycle, and so should the
-// simulator).  FaultFreeBehavior below, faults::FaultSet (defect-bitmap
-// gated) and faults::CompositeProbeBehavior (routing packed dictionary
-// candidates to private per-candidate engines) all implement that pattern.
+// simulator).  FaultFreeBehavior below and faults::FaultSet (defect-bitmap
+// gated) both implement that pattern.
 #pragma once
 
 #include <cstdint>

@@ -13,9 +13,9 @@
 // (write_row / read_row), which take packed limb copies when the row carries
 // no defect; the per_cell kernel forces the bit-at-a-time reference loop on
 // every access; instance_sliced behaves like word_parallel at this level and
-// additionally lets group executors (bisd::SocUnderTest::slice_groups,
-// march::MarchRunner::run_group) advance sliceable() memories as bit-lanes
-// of a shared sram::InstanceSlab.  All kernels produce bit-identical
+// additionally lets the fast scheme's group path
+// (bisd::SocUnderTest::slice_groups) advance sliceable() memories as
+// bit-lanes of a shared sram::InstanceSlab.  All kernels produce bit-identical
 // results — the narrower ones exist so differential tests and benchmarks
 // can prove it.
 #pragma once
@@ -62,7 +62,6 @@ class Sram {
 
   /// Selects the access kernel (default AccessKernel::word_parallel).
   void set_access_kernel(AccessKernel kernel) { kernel_ = kernel; }
-  [[nodiscard]] AccessKernel access_kernel() const { return kernel_; }
 
   /// Advances the simulated wall clock (DRF decay is evaluated lazily
   /// against this clock on the next access of each cell).

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -399,113 +400,6 @@ TEST(InstanceSlab, RejectsUnsliceableAndMismatchedLanes) {
                std::exception);
 }
 
-// ---- MarchRunner::run_group vs per-memory run ------------------------------
-
-void expect_run_identical(const march::RunResult& sliced,
-                          const march::RunResult& reference,
-                          const std::string& label) {
-  EXPECT_EQ(sliced.ops, reference.ops) << label;
-  EXPECT_EQ(sliced.elapsed_ns, reference.elapsed_ns) << label;
-  ASSERT_EQ(sliced.mismatches.size(), reference.mismatches.size()) << label;
-  for (std::size_t m = 0; m < sliced.mismatches.size(); ++m) {
-    EXPECT_TRUE(sliced.mismatches[m] == reference.mismatches[m])
-        << label << " mismatch #" << m;
-  }
-}
-
-/// Builds a fleet of identical-geometry memories; lanes whose index is in
-/// @p faulty_lanes carry a defect mix (and therefore stay on the per-memory
-/// path under instance_sliced).
-std::vector<std::unique_ptr<sram::Sram>> make_fleet(
-    std::size_t count, AccessKernel kernel,
-    const std::vector<std::size_t>& faulty_lanes, std::uint64_t seed) {
-  Rng rng(seed);
-  const auto config = cfg("lane", 6, 21);
-  std::vector<std::unique_ptr<sram::Sram>> fleet;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto lane_config = config;
-    lane_config.name = "lane" + std::to_string(i);
-    std::vector<FaultInstance> truth;
-    if (std::find(faulty_lanes.begin(), faulty_lanes.end(), i) !=
-        faulty_lanes.end()) {
-      truth = random_fault_mix(lane_config, 1 + rng.uniform(4), rng);
-    }
-    fleet.push_back(std::make_unique<sram::Sram>(
-        lane_config, std::make_unique<faults::FaultSet>(truth)));
-    fleet.back()->set_access_kernel(kernel);
-  }
-  return fleet;
-}
-
-TEST(RunGroup, MatchesPerMemoryRunAcrossSizesAndLevels) {
-  LevelGuard guard;
-  const auto test = march::march_cw(21);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    for (const std::size_t count : {1ull, 63ull, 64ull, 65ull}) {
-      // A few faulty lanes scattered through the group exercise the
-      // mixed sliced/direct partition; the rest ride the packed path.
-      const std::vector<std::size_t> faulty{0, count / 2, count - 1};
-      auto sliced_fleet =
-          make_fleet(count, AccessKernel::instance_sliced, faulty, 77);
-      auto ref_fleet =
-          make_fleet(count, AccessKernel::word_parallel, faulty, 77);
-
-      std::vector<sram::Sram*> group;
-      for (const auto& lane : sliced_fleet) {
-        group.push_back(lane.get());
-      }
-      const march::MarchRunner runner;
-      const auto results = runner.run_group(group, test);
-      ASSERT_EQ(results.size(), count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto reference = runner.run(*ref_fleet[i], test);
-        const std::string label = std::string(simd::isa_name(level)) +
-                                  " count=" + std::to_string(count) +
-                                  " lane " + std::to_string(i);
-        expect_run_identical(results[i], reference, label);
-        EXPECT_EQ(sliced_fleet[i]->now_ns(), ref_fleet[i]->now_ns()) << label;
-        EXPECT_EQ(sliced_fleet[i]->counters().reads,
-                  ref_fleet[i]->counters().reads)
-            << label;
-        EXPECT_EQ(sliced_fleet[i]->counters().writes,
-                  ref_fleet[i]->counters().writes)
-            << label;
-        // End-of-run contents must scatter back bit-identically.
-        for (std::uint32_t row = 0; row < sliced_fleet[i]->words(); ++row) {
-          EXPECT_EQ(sliced_fleet[i]->read(row), ref_fleet[i]->read(row))
-              << label << " row " << row;
-        }
-      }
-    }
-  }
-}
-
-TEST(RunGroup, WrapEmulationMatchesPerMemoryRun) {
-  LevelGuard guard;
-  const auto test = march::march_cw_nwrtm(21);
-  for (const auto level : available_levels()) {
-    ASSERT_TRUE(simd::force(level));
-    auto sliced_fleet =
-        make_fleet(9, AccessKernel::instance_sliced, {3}, 1234);
-    auto ref_fleet = make_fleet(9, AccessKernel::word_parallel, {3}, 1234);
-    std::vector<sram::Sram*> group;
-    for (const auto& lane : sliced_fleet) {
-      group.push_back(lane.get());
-    }
-    const march::MarchRunner runner;
-    // global_words above the capacity: every element revisits each row,
-    // which routes the sliced expectation through the shared golden shadow.
-    const auto results = runner.run_group(group, test, /*global_words=*/16);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto reference = runner.run(*ref_fleet[i], test, 16);
-      expect_run_identical(results[i], reference,
-                           std::string(simd::isa_name(level)) + " lane " +
-                               std::to_string(i));
-    }
-  }
-}
-
 // ---- InstanceSlab exactness bitmaps (probe-slab support) -------------------
 
 TEST(InstanceSlab, ExactnessBitmapsMaskWritesAndCompares) {
@@ -555,13 +449,13 @@ TEST(InstanceSlab, ExactnessBitmapsMaskWritesAndCompares) {
   }
 }
 
-// ---- MarchRunner::run_group_per_cell vs per-probe run_per_cell -------------
+// ---- MarchRunner::run_group_per_cell vs single-fault probes ----------------
 
 /// Deterministic candidate list for probe lane @p i against @p config:
 /// cycles through every packable fault kind, alternates same-word and
 /// distinct-row aggressors, and gives every third lane a second disjoint
 /// candidate.  Geometry must have >= 4 words and >= 5 bits so the cells
-/// stay pairwise disjoint (the CompositeProbeBehavior packing contract).
+/// stay pairwise disjoint (the SlicedProbeBatch packing contract).
 std::vector<FaultInstance> probe_lane_candidates(std::size_t i,
                                                  const SramConfig& config) {
   static const FaultKind kinds[] = {
@@ -594,6 +488,31 @@ std::vector<FaultInstance> probe_lane_candidates(std::size_t i,
   return lane;
 }
 
+using CellReads = std::map<CellCoord, std::vector<march::ReadEvent>>;
+
+/// The oracle for one probe lane: each candidate replayed alone in a plain
+/// memory holding FaultSet{candidate} (the per_candidate dictionary probe),
+/// and the per-cell maps merged.  Packed candidates own disjoint cells, so
+/// their failing cells must be disjoint too; a collision fails the test.
+CellReads merged_single_fault_probes(const march::MarchRunner& runner,
+                                     const SramConfig& probe_config,
+                                     const std::vector<FaultInstance>& lane,
+                                     const march::MarchTest& test,
+                                     std::uint32_t sweep = 0) {
+  CellReads merged;
+  for (const auto& fault : lane) {
+    sram::Sram memory(probe_config,
+                      std::make_unique<faults::FaultSet>(
+                          std::vector<FaultInstance>{fault}));
+    for (auto& [cell, reads] : runner.run_per_cell(memory, test, sweep)) {
+      const bool fresh = merged.emplace(cell, std::move(reads)).second;
+      EXPECT_TRUE(fresh) << "candidates' failing cells overlap at ("
+                         << cell.row << "," << cell.bit << ")";
+    }
+  }
+  return merged;
+}
+
 TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
   LevelGuard guard;
   auto probe_config = cfg("probe", 5, 7);
@@ -606,16 +525,10 @@ TEST(RunGroupPerCell, MatchesPerProbeRunAcrossSizesAndLevels) {
     for (std::size_t i = 0; i < count; ++i) {
       lanes.push_back(probe_lane_candidates(i, probe_config));
     }
-    // The reference: each lane's candidates in its own composite probe
-    // memory, replayed one at a time.
-    std::vector<std::map<CellCoord, std::vector<march::ReadEvent>>> expected;
+    std::vector<CellReads> expected;
     for (const auto& lane : lanes) {
-      auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-      for (const auto& fault : lane) {
-        behavior->add_candidate(fault);
-      }
-      sram::Sram memory(probe_config, std::move(behavior));
-      expected.push_back(runner.run_per_cell(memory, test));
+      expected.push_back(
+          merged_single_fault_probes(runner, probe_config, lane, test));
     }
     for (const auto level : available_levels()) {
       ASSERT_TRUE(simd::force(level));
@@ -646,14 +559,10 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
   for (std::size_t i = 0; i < 21; ++i) {
     lanes.push_back(probe_lane_candidates(i, probe_config));
   }
-  std::vector<std::map<CellCoord, std::vector<march::ReadEvent>>> expected;
+  std::vector<CellReads> expected;
   for (const auto& lane : lanes) {
-    auto behavior = std::make_unique<faults::CompositeProbeBehavior>();
-    for (const auto& fault : lane) {
-      behavior->add_candidate(fault);
-    }
-    sram::Sram memory(probe_config, std::move(behavior));
-    expected.push_back(runner.run_per_cell(memory, test, sweep));
+    expected.push_back(
+        merged_single_fault_probes(runner, probe_config, lane, test, sweep));
   }
   for (const auto level : available_levels()) {
     ASSERT_TRUE(simd::force(level));
@@ -664,6 +573,69 @@ TEST(RunGroupPerCell, WrapEmulationMatchesPerProbeRun) {
           << simd::isa_name(level) << " lane " << i;
     }
   }
+}
+
+// ---- SlicedProbeBatch packing contract --------------------------------------
+
+/// Builds a batch of the given lanes against a 5x7 probe geometry.
+void make_batch(const std::vector<std::vector<FaultInstance>>& lanes) {
+  auto probe_config = cfg("probe", 5, 7);
+  probe_config.spare_rows = 0;
+  const faults::SlicedProbeBatch batch(probe_config, lanes.data(),
+                                       lanes.size());
+  EXPECT_EQ(batch.lane_count(), lanes.size());
+}
+
+TEST(SlicedProbeBatch, RefusesOverlappingCandidateCells) {
+  const auto sa0 = faults::make_cell_fault(FaultKind::sa0, CellCoord{1, 2});
+  const auto tf = faults::make_cell_fault(FaultKind::tf_up, CellCoord{1, 3});
+  EXPECT_NO_THROW(make_batch({{sa0, tf}}));
+  // Two victims on one cell.
+  EXPECT_THROW(
+      make_batch({{sa0, faults::make_cell_fault(FaultKind::sa1, {1, 2})}}),
+      std::logic_error);
+  // A coupling aggressor on another candidate's victim, in a later lane.
+  EXPECT_THROW(make_batch({{sa0},
+                           {tf, faults::make_coupling_fault(
+                                    FaultKind::cf_in_up, CellCoord{1, 3},
+                                    CellCoord{4, 0})}}),
+               std::logic_error);
+  // The same cells in different lanes do not interact.
+  EXPECT_NO_THROW(make_batch({{sa0}, {faults::make_cell_fault(
+                                         FaultKind::sa1, CellCoord{1, 2})}}));
+}
+
+TEST(SlicedProbeBatch, RefusesAddressFaults) {
+  EXPECT_THROW(make_batch({{faults::make_address_fault(
+                   FaultKind::af_no_access, 2)}}),
+               std::logic_error);
+  EXPECT_THROW(make_batch({{}, {faults::make_address_fault(
+                                   FaultKind::af_wrong_row, 1, 3)}}),
+               std::logic_error);
+}
+
+TEST(SlicedProbeBatch, RefusesSofVictimSharingItsColumn) {
+  const auto sof = faults::make_cell_fault(FaultKind::sof, CellCoord{0, 4});
+  // Another victim in column 4 would disturb the SOF's sense latch.
+  EXPECT_THROW(
+      make_batch({{sof, faults::make_cell_fault(FaultKind::sa1, {3, 4})}}),
+      std::logic_error);
+  EXPECT_THROW(make_batch({{faults::make_coupling_fault(
+                                FaultKind::cf_id_up1, CellCoord{2, 1},
+                                CellCoord{2, 4}),
+                            sof}}),
+               std::logic_error);
+  // A healthy aggressor cell in the column always reads its nominal value.
+  EXPECT_NO_THROW(make_batch({{sof, faults::make_coupling_fault(
+                                        FaultKind::cf_in_up, CellCoord{3, 4},
+                                        CellCoord{3, 5})}}));
+}
+
+TEST(SlicedProbeBatch, RefusesZeroAndMoreThan64Lanes) {
+  EXPECT_THROW(make_batch({}), std::logic_error);
+  EXPECT_NO_THROW(make_batch(std::vector<std::vector<FaultInstance>>(64)));
+  EXPECT_THROW(make_batch(std::vector<std::vector<FaultInstance>>(65)),
+               std::logic_error);
 }
 
 // ---- FastScheme / engine: instance_sliced vs the reference kernels --------
@@ -697,9 +669,10 @@ bisd::SocUnderTest make_sliced_soc(std::size_t clean_count,
 
 void expect_scheme_identical(bisd::SocUnderTest& sliced_soc,
                              bisd::SocUnderTest& ref_soc,
-                             const std::string& label) {
-  bisd::FastScheme sliced_scheme;
-  bisd::FastScheme ref_scheme;
+                             const std::string& label,
+                             const bisd::FastSchemeOptions& options = {}) {
+  bisd::FastScheme sliced_scheme(options);
+  bisd::FastScheme ref_scheme(options);
   const auto sliced = sliced_scheme.diagnose(sliced_soc);
   const auto reference = ref_scheme.diagnose(ref_soc);
   EXPECT_EQ(sliced.time.cycles, reference.time.cycles) << label;
@@ -758,6 +731,57 @@ TEST(InstanceSliced, PerClockSerializationPathMatchesReference) {
     auto ref_soc = make_sliced_soc(12, AccessKernel::word_parallel, 21,
                                    /*idle_everywhere=*/false);
     expect_scheme_identical(sliced_soc, ref_soc, simd::isa_name(level));
+  }
+}
+
+TEST(InstanceSliced, RetentionPausesMatchWordParallel) {
+  // The sliced path defers the clean lanes' clock (deferred_ns) and lands
+  // it once at the end, while the faulty lanes advance per tick.  A test
+  // whose `once` elements carry retention pauses must still leave every
+  // memory's clock, counters and log exactly as word_parallel does; DRF
+  // decay is evaluated against that clock, so a skewed pause would show up
+  // as divergent records.
+  const auto make_soc = [](AccessKernel kernel) {
+    bisd::SocUnderTest soc;
+    for (std::size_t i = 0; i < 10; ++i) {
+      std::vector<FaultInstance> truth;
+      if (i == 2) {
+        truth.push_back(faults::make_cell_fault(FaultKind::drf0, {3, 1}));
+      }
+      if (i == 7) {
+        truth.push_back(faults::make_cell_fault(FaultKind::drf1, {5, 20}));
+      }
+      soc.add_memory(cfg("lane" + std::to_string(i), 8, 21), truth);
+    }
+    soc.set_access_kernel(kernel);
+    return soc;
+  };
+  bisd::FastSchemeOptions options;
+  options.test = march::with_retention_pause(march::march_c_minus(21),
+                                             100'000'000);
+
+  LevelGuard guard;
+  for (const auto level : available_levels()) {
+    ASSERT_TRUE(simd::force(level));
+    auto sliced_soc = make_soc(AccessKernel::instance_sliced);
+    auto ref_soc = make_soc(AccessKernel::word_parallel);
+    const auto groups = sliced_soc.slice_groups();
+    ASSERT_EQ(groups.size(), 1u);
+    EXPECT_EQ(groups[0].members.size(), 8u) << "the clean lanes slice";
+    expect_scheme_identical(sliced_soc, ref_soc, simd::isa_name(level),
+                            options);
+
+    // The pause is what exposes the DRF lanes at all, and only them.
+    bisd::FastScheme scheme(options);
+    auto soc = make_soc(AccessKernel::instance_sliced);
+    const auto result = scheme.diagnose(soc);
+    std::vector<std::size_t> flagged;
+    for (const auto& record : result.log.records()) {
+      flagged.push_back(record.memory_index);
+    }
+    std::sort(flagged.begin(), flagged.end());
+    flagged.erase(std::unique(flagged.begin(), flagged.end()), flagged.end());
+    EXPECT_EQ(flagged, (std::vector<std::size_t>{2, 7}));
   }
 }
 
